@@ -201,7 +201,7 @@ def cmd_oracle(args) -> int:
     try:
         report = check_log(lines)
     except EventLogError as exc:
-        return _usage_error(f"line {exc.line_no}: {exc}")
+        return _usage_error(str(exc))
     print(str(report))
     return 0 if report.equivalent else 1
 

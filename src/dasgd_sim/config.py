@@ -197,6 +197,15 @@ class ExperimentConfig:
             return cls.parse(fh.read())
 
     def validate(self) -> None:
+        if self.replicas < 1:
+            raise ConfigError("run", "replicas",
+                              f"must be >= 1, got {self.replicas}")
+        if self.seed < 0:
+            raise ConfigError("run", "seed", f"must be >= 0, got {self.seed}")
+        if self.seed + self.replicas - 1 >= 2**64:
+            raise ConfigError("run", "seed",
+                              f"seed {self.seed} with {self.replicas} replicas "
+                              f"runs past the largest seed 2**64 - 1")
         if self.objective_kind == "logistic" and self.noise_sigma != 0.0:
             raise ConfigError("objective", "sigma",
                               "only the quadratic objective takes injected "

@@ -27,7 +27,13 @@ from typing import Optional
 import numpy as np
 
 from dasgd_sim.ledger import GradientId, StalenessLedger, StalenessRecord, StalenessSummary
-from dasgd_sim.netsim import Network, TimeDistribution, Topology, validate_topology
+from dasgd_sim.netsim import (
+    MessageCounts,
+    Network,
+    TimeDistribution,
+    Topology,
+    validate_topology,
+)
 
 DELIVER = 0        # sorts before COMPUTE_DONE at equal times
 COMPUTE_DONE = 1
@@ -146,6 +152,7 @@ class RunResult:
     summary: Optional[StalenessSummary]
     ledger: Optional[StalenessLedger] = None
     delay_pairs: Optional[list] = None       # centralized: (delay, set diff)
+    messages: Optional[MessageCounts] = None  # dasgd: flooding traffic
 
     @property
     def throughput(self) -> float:
@@ -312,10 +319,12 @@ def run(config: SimConfig) -> RunResult:
         events=events,
         table=table,
         final_models=np.stack(params),
-        total_time=now,
+        # Elided copies would have landed, as duplicates, until elided_until.
+        total_time=max(now, network.elided_until),
         gradients_computed=total_expected,
         summary=ledger.summarize(),
         ledger=ledger,
+        messages=network.counts(),
     )
 
 

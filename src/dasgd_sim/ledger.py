@@ -290,7 +290,8 @@ class EventLogError(ValueError):
 def parse_event_log(lines: Iterable[str]) -> Iterator[tuple]:
     """Yield (line_no, event) pairs where event is ("compute", node, step)
     or ("apply", node, step, producer, pstep).  Blank lines and #-comments
-    are skipped."""
+    are skipped.  Every field is a non-negative integer; a negative node
+    would otherwise index from the end of per-node state."""
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -298,9 +299,9 @@ def parse_event_log(lines: Iterable[str]) -> Iterator[tuple]:
         parts = line.split()
         try:
             if parts[0] == "COMPUTE" and len(parts) == 3:
-                yield line_no, ("compute", int(parts[1]), int(parts[2]))
+                event = ("compute", int(parts[1]), int(parts[2]))
             elif parts[0] == "APPLY" and len(parts) == 5:
-                yield line_no, (
+                event = (
                     "apply",
                     int(parts[1]),
                     int(parts[2]),
@@ -309,5 +310,8 @@ def parse_event_log(lines: Iterable[str]) -> Iterator[tuple]:
                 )
             else:
                 raise ValueError("unrecognized event")
+            if min(event[1:]) < 0:
+                raise ValueError("negative field")
         except (ValueError, IndexError):
             raise EventLogError(line_no, f"malformed line: {raw.rstrip()}") from None
+        yield line_no, event

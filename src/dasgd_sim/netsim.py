@@ -9,6 +9,25 @@ around the cycle; relaying a gradient both ways would make every node two
 hops from every other and erase the topology's staleness signature.
 Duplicate suppression is authoritative at delivery time either way: each
 node accepts a given gradient exactly once.
+
+Copies a target already holds at send time are elided: no message is
+created for them.  On a complete graph that is most of the ~n^2 copies per
+gradient.  Elision leaves every output byte-identical because
+
+  * a node's accepted set only grows, so such a copy could only have
+    arrived as a duplicate, and a duplicate arrival changes nothing but
+    the duplicate counter;
+  * the copy's latency is still drawn, so the shared timing stream feeds
+    every later draw exactly as if the copy had been sent;
+  * the latest delivery time an elided copy would have had is kept in
+    `Network.elided_until`, from which the engine restores the run's end
+    time.
+
+The traffic stays visible: a dasgd run's summary.txt reports
+`messages_sent` (copies scheduled), `messages_duplicate` (scheduled copies
+that found the gradient already accepted) and `messages_elided` (copies
+never scheduled).  sent + elided is the number of copies plain flooding
+sends; sent - duplicate is the number of accepted copies.
 """
 
 from __future__ import annotations
@@ -167,6 +186,13 @@ class InFlightMessage:
     seq: int             # creation order, for deterministic tie-breaks
 
 
+@dataclass(frozen=True)
+class MessageCounts:
+    sent: int            # copies scheduled for delivery
+    duplicate: int       # scheduled copies whose target already held the gradient
+    elided: int          # copies never scheduled: target held it at send time
+
+
 class Network:
     """Message creation and duplicate suppression for one run.  The event
     scheduler owns delivery timing; this class decides who gets copies and
@@ -179,21 +205,27 @@ class Network:
         self._next_seq = 0
         self.sent_count = 0
         self.duplicate_count = 0
+        self.elided_count = 0
+        self.elided_until = 0.0   # latest arrival an elided copy would have had
 
     def _make_messages(self, node, gid, targets, now, rng):
         out = []
         for to in targets:
-            delay = self.latency.sample(rng)
-            out.append(InFlightMessage(gid, node, to, now + delay, self._next_seq))
+            # Drawn for elided copies too, so later draws do not shift.
+            deliver_at = now + self.latency.sample(rng)
+            if gid in self._seen[to]:
+                self.elided_count += 1
+                if deliver_at > self.elided_until:
+                    self.elided_until = deliver_at
+                continue
+            out.append(InFlightMessage(gid, node, to, deliver_at, self._next_seq))
             self._next_seq += 1
         self.sent_count += len(out)
         return out
 
-    def mark_seen(self, node: int, gid: int) -> None:
-        self._seen[node].add(gid)
-
-    def has_seen(self, node: int, gid: int) -> bool:
-        return gid in self._seen[node]
+    def counts(self) -> MessageCounts:
+        return MessageCounts(self.sent_count, self.duplicate_count,
+                             self.elided_count)
 
     def disseminate(self, origin: int, gid: int, now: float, rng) -> list:
         """Messages for a gradient the origin just produced (the origin

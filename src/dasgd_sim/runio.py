@@ -219,6 +219,12 @@ def _write_summary(path, run_id, effective, result, eta_source):
         ("rate_bound_final", bound_text),
         ("bound_satisfied", satisfied),
     ]
+    if result.messages is not None:
+        lines += [
+            ("messages_sent", result.messages.sent),
+            ("messages_duplicate", result.messages.duplicate),
+            ("messages_elided", result.messages.elided),
+        ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in lines:
             fh.write(f"{key}: {value}\n")

@@ -2,6 +2,7 @@
 verification audits, sweeps, and the documented exit codes."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,31 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "turbo" in err
 
 
+@pytest.mark.parametrize("text, flags", [
+    ("[run]\nsamples_per_node = 3\n", ["--seed", "-1"]),
+    ("[run]\nseed = 18446744073709551615\nreplicas = 2\n", []),
+    ("[run]\nsamples_per_node = 3\n",
+     ["--seed", "18446744073709551615", "--replicas", "2"]),
+])
+def test_seed_out_of_range_exits_2(tmp_path, capsys, text, flags):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [run] seed:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_zero_replicas_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out),
+                 "--replicas", "0"]) == 2
+    assert "[run] replicas" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_divergence_exits_3_with_recommendation(tmp_path, capsys):
     # eta about 200x the stepsize rule for this curvature
     cfg = write_config(tmp_path, STIFF + "\n[sgd]\neta = 0.025\n")
@@ -257,7 +283,9 @@ def test_oracle_command_rejects_protocol_violation(tmp_path, capsys):
         fh.write("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["oracle", log]) == 2
-    assert "line" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert re.match(r"error: line \d+: APPLY step \d+ does not match", err)
+    assert err.count("line ") == 1
 
 
 def test_oracle_command_accepts_reordered_valid_log(tmp_path, capsys):
@@ -284,7 +312,19 @@ def test_oracle_command_syntax_error_exits_2(tmp_path, capsys):
     log = tmp_path / "bad.log"
     log.write_text("COMPUTE 0 0\nGIBBERISH\n", encoding="utf-8")
     assert main(["oracle", str(log)]) == 2
-    assert "line 2" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: line 2: malformed line: GIBBERISH\n"
+
+
+def test_oracle_command_rejects_negative_node(tmp_path, capsys):
+    # With n = 2, node -1 would alias node 1 and the log would replay as
+    # a valid four-application schedule.
+    log = tmp_path / "neg.log"
+    log.write_text("COMPUTE 0 0\nAPPLY 0 0 0 0\nCOMPUTE 1 0\nAPPLY 1 0 1 0\n"
+                   "APPLY -1 1 0 0\nAPPLY 0 1 1 0\n", encoding="utf-8")
+    assert main(["oracle", str(log)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 5: malformed line: APPLY -1 1 0 0\n"
 
 
 def test_sweep_topology_axis(tmp_path, capsys):

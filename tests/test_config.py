@@ -103,6 +103,20 @@ def test_value_errors_carry_location():
         ExperimentConfig.parse("[run]\nmode = turbo\n")
 
 
+def test_seed_range_checked_with_replicas():
+    top = 2**64 - 1
+    assert ExperimentConfig.parse(f"[run]\nseed = {top}\n").seed == top
+    with pytest.raises(ConfigError, match=r"\[run\] seed"):
+        ExperimentConfig.parse(f"[run]\nseed = {top}\nreplicas = 2\n")
+    cfg = ExperimentConfig.parse("[run]\nseed = 1\n")
+    for seed, replicas in ((-1, 1), (top - 1, 3)):
+        with pytest.raises(ConfigError, match=r"\[run\] seed"):
+            dataclasses.replace(cfg, seed=seed, replicas=replicas).validate()
+    dataclasses.replace(cfg, seed=top - 1, replicas=2).validate()
+    with pytest.raises(ConfigError, match=r"\[run\] replicas"):
+        dataclasses.replace(cfg, replicas=0).validate()
+
+
 def test_logistic_rejects_injected_noise():
     with pytest.raises(ConfigError, match=r"\[objective\] sigma"):
         ExperimentConfig.parse(

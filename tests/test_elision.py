@@ -1,0 +1,190 @@
+"""Send-time elision of flood copies: run directories stay byte-identical
+to full flooding, and the traffic counters add up.
+
+The digests below were taken from run directories written before elision
+existed, when every copy was scheduled and delivered.  The objectives are
+one-dimensional so that no LAPACK routine feeds the pinned bytes; event
+timing, which elision touches, does not depend on the dimension.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from dasgd_sim import runio
+from dasgd_sim._kernel import KERNEL_IMPL
+from dasgd_sim.cli import main
+from dasgd_sim.config import ExperimentConfig
+from dasgd_sim.engine import SimConfig, run
+from dasgd_sim.netsim import TimeDistribution, Topology
+from dasgd_sim.objective import QuadraticObjective
+
+TRAFFIC_KEYS = ("messages_sent", "messages_duplicate", "messages_elided")
+
+# Pilot-picked eta, noisy gradients, random latency of the order of the
+# compute time: copies overtake each other and the last event is a
+# duplicate delivery.
+FC_EXPONENTIAL = """\
+[run]
+seed = 5
+samples_per_node = 25
+
+[objective]
+dim = 1
+condition = 4.0
+sigma = 0.3
+
+[topology]
+kind = fully_connected
+n = 5
+
+[timing]
+compute = uniform:0.8:1.2
+latency = exponential:0.3
+"""
+
+RING_CONSTANT = """\
+[run]
+seed = 2
+samples_per_node = 25
+
+[objective]
+dim = 1
+condition = 4.0
+
+[topology]
+kind = ring
+n = 6
+
+[timing]
+compute = exponential:1.0
+latency = constant:0.05
+
+[sgd]
+eta = 0.01
+"""
+
+CUSTOM_UNIFORM = """\
+[run]
+seed = 9
+samples_per_node = 25
+
+[objective]
+dim = 1
+condition = 4.0
+
+[topology]
+kind = custom
+n = 6
+edges = 0-1,1-2,2-3,3-4,4-5,5-0,0-3,1-4
+
+[timing]
+compute = constant:1.0
+latency = uniform:0.05:0.6
+compute_scale = 1,1,1,1,1,2
+"""
+
+# sha256 per file.  summary.txt is hashed without the traffic counters and
+# without its `kernel` line, which names the loaded kernel build.
+GOLDEN = {
+    "fc_exponential": (FC_EXPONENTIAL, {
+        "events.log": "f7e5b1066c5281c571299926f2769c645107a6e23856e66de5198187fdcaec1f",
+        "gradients.npz": "fbec28a5c4585e75ac373825d486ea10cb09ad4f262576adebf7a9d938adbdea",
+        "manifest.txt": "5911c2ad060d44a34314e8c7ced084698a6193549f65275304425d287b17e812",
+        "models.npz": "c07b9bbf5c78f2c1ac54a6ab592c5ca334eb3e7ac3755a84bf3db5b77e50f07a",
+        "staleness.csv": "df2f1181b8735e2387d0b68d9428dfc7452cb596d02cc7cd420725d4990b6d56",
+        "summary.txt": "91c00e477edce974a19929fb5386fef26fdf48a42ea09c0b227473a56979864f",
+        "trace.csv": "ef1b9ea476ad0cc43ec8cca66f2b7e86d3a66025c608bd1e92db1315f2f3bc8d",
+    }),
+    "ring_constant": (RING_CONSTANT, {
+        "events.log": "af59160c9ed92ee0dec50a3d19a2575d6b41110a6f4496f7f671e7f5abdcb06c",
+        "gradients.npz": "06e319a7e3b31647e1a1d50ace4b21b0e08b32b5d45e0c6699e2c43533462b7f",
+        "manifest.txt": "2aba6d85525f95848d43d100ed51540cec2ac425a6084ca3024a52297a596045",
+        "models.npz": "dbe020e6215eb51c3e079cc5401cf4e0e5134345f943778e269e7c8e2082eab2",
+        "staleness.csv": "8a5a88a24ecd210af1011d5ddf2572153e3136ba85712fd45c32912b1734100f",
+        "summary.txt": "e9a04cd52d8918b45cfd4533971c06703223b72daf96f2c12c30b2c36bfd839b",
+        "trace.csv": "b68c906dd7e21f83c456dddaa0e1d4245a6daa3516d2fe4c722c4c6c38605c5a",
+    }),
+    "custom_uniform": (CUSTOM_UNIFORM, {
+        "events.log": "c08b9768b846666d90ddac7dc24def4b2b03ec8fbff985515007ce463bb2e8d4",
+        "gradients.npz": "394e305c07efbc8fc996a74292de441202ede4c5987066870e8598feeaaecea6",
+        "manifest.txt": "8d497bb92ba04ca3c0e5a98f49ab8968c114e9b8121d445af8feda152f1e8a08",
+        "models.npz": "46cf644ab930f9dfa402a3f27ac1d786b3f5b8e104d09d8aab8c6e3ab46a7283",
+        "staleness.csv": "1c6f6f2f9c2879b393afc2224c7ff81579106243a4b7fa662b9a64288e8e4c5a",
+        "summary.txt": "99b9e7f1c0e2b2c995676fa109261d8395d6c0f42859ad538852e1ca1127103d",
+        "trace.csv": "cee04ed3e64ca66de544a046a3809356f283da7fadb16032beb7ada5809fd12f",
+    }),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_directory_matches_full_flooding(tmp_path, capsys, name):
+    text, digests = GOLDEN[name]
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(out)) == sorted(digests)
+    for fname, digest in digests.items():
+        data = (out / fname).read_bytes()
+        if fname == "summary.txt":
+            lines = data.decode("utf-8").splitlines(keepends=True)
+            # The counters are appended after every key full flooding wrote.
+            assert [ln.split(": ")[0] for ln in lines[-3:]] == list(TRAFFIC_KEYS)
+            assert f"kernel: {KERNEL_IMPL}\n" in lines
+            data = "".join(ln for ln in lines[:-3]
+                           if not ln.startswith("kernel: ")).encode("utf-8")
+        assert sha256(data) == digest, fname
+
+
+def test_flood_counters_conserve_copies_on_complete_graph():
+    n, budget = 6, 20
+    config = SimConfig(
+        topology=Topology.fully_connected(n),
+        objective=QuadraticObjective([[2.0]]),
+        eta=0.01,
+        samples_per_node=budget,
+        compute_time=TimeDistribution.uniform(0.8, 1.2),
+        latency=TimeDistribution.exponential(0.4),
+        seed=3,
+    )
+    res = run(config)
+    g = n * budget
+    counts = res.messages
+    # Plain flooding: n - 1 copies from the producer, then n - 2 from each
+    # of the n - 1 nodes that accept it.
+    assert counts.sent + counts.elided == g * (n - 1) ** 2
+    # Each node other than the producer accepts exactly one copy.
+    assert counts.sent - counts.duplicate == g * (n - 1)
+    assert counts.elided > 0 and counts.duplicate > 0
+    kinds = [e.kind for e in res.events]
+    assert kinds.count("send") == counts.sent
+    assert kinds.count("duplicate") == counts.duplicate
+    assert kinds.count("deliver") == g * (n - 1)
+
+
+def test_summary_reports_the_result_counters(tmp_path):
+    config = ExperimentConfig.parse(FC_EXPONENTIAL)
+    result, effective, source = runio.execute(config)
+    runio.write_run_dir(str(tmp_path), effective, result, source)
+    summary = runio.read_summary(str(tmp_path / "summary.txt"))
+    assert [int(summary[k]) for k in TRAFFIC_KEYS] == [
+        result.messages.sent, result.messages.duplicate,
+        result.messages.elided]
+
+
+@pytest.mark.parametrize("mode", ["sync", "centralized_asgd"])
+def test_baselines_have_no_traffic_counters(tmp_path, mode):
+    config = ExperimentConfig.parse(
+        f"[run]\nmode = {mode}\nsamples_per_node = 5\n[sgd]\neta = 0.01\n")
+    result, effective, source = runio.execute(config)
+    assert result.messages is None
+    runio.write_run_dir(str(tmp_path), effective, result, source)
+    summary = runio.read_summary(str(tmp_path / "summary.txt"))
+    assert not set(TRAFFIC_KEYS) & set(summary)

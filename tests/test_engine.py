@@ -13,7 +13,7 @@ from dasgd_sim.engine import (
     run_sync_baseline,
 )
 from dasgd_sim.ledger import GradientId
-from dasgd_sim.netsim import TimeDistribution, Topology
+from dasgd_sim.netsim import MessageCounts, TimeDistribution, Topology
 from dasgd_sim.objective import QuadraticObjective
 from dasgd_sim.oracle import check_log
 
@@ -119,8 +119,11 @@ def test_ring_accepted_copies_and_wrap_duplicates():
     kinds = [e.kind for e in res.events]
     total = n * budget
     assert kinds.count("deliver") == (n - 1) * total
-    # Directed circulation wraps once per gradient before dedup stops it.
-    assert kinds.count("duplicate") == total
+    # Directed circulation wraps once per gradient, back to the producer,
+    # which holds the gradient: the wrap copy is elided at send time.
+    assert kinds.count("duplicate") == 0
+    assert res.messages == MessageCounts(
+        sent=(n - 1) * total, duplicate=0, elided=total)
 
 
 def test_final_agreement_and_reconstruction():

@@ -171,6 +171,14 @@ def test_parse_rejects_malformed_line():
         list(parse_event_log(["SYNC 0"]))
 
 
+@pytest.mark.parametrize("line", ["COMPUTE -1 0", "COMPUTE 0 -2",
+                                  "APPLY -1 1 0 0", "APPLY 0 0 0 -1"])
+def test_parse_rejects_negative_fields(line):
+    with pytest.raises(EventLogError, match="malformed line") as err:
+        list(parse_event_log(["COMPUTE 0 0", line]))
+    assert err.value.line_no == 2
+
+
 def test_parse_skips_blanks_and_comments():
     events = list(parse_event_log(["", "# header", "COMPUTE 0 0"]))
     assert events == [(3, ("compute", 0, 0))]

@@ -5,6 +5,7 @@ import pytest
 
 from dasgd_sim.netsim import (
     InFlightMessage,
+    MessageCounts,
     Network,
     TimeDistribution,
     Topology,
@@ -157,3 +158,22 @@ def test_equal_seeds_equal_schedules():
         msgs = net.disseminate(1, gid=0, now=0.0, rng=rng)
         out.append([(m.to, m.deliver_at) for m in msgs])
     assert out[0] == out[1]
+
+
+def test_copies_the_target_holds_are_elided():
+    lat = TimeDistribution.uniform(0.1, 0.9)
+    net = Network(Topology.fully_connected(3), lat)
+    rng = np.random.default_rng(5)
+    first, second = sorted(net.disseminate(0, gid=0, now=0.0, rng=rng),
+                           key=lambda m: m.to)
+    assert net.on_receive(1, first) == "accept"
+    assert net.on_receive(2, second) == "accept"
+    # Node 2 already holds gradient 0, so node 1's relay schedules nothing.
+    assert net.relay(1, gid=0, arrived_from=0, now=1.0, rng=rng) == []
+    assert net.counts() == MessageCounts(sent=2, duplicate=0, elided=1)
+    # The elided copy still drew its latency: the stream is where it
+    # would be had the copy been sent, and its arrival time is kept.
+    ref = np.random.default_rng(5)
+    draws = [lat.sample(ref) for _ in range(3)]
+    assert net.elided_until == 1.0 + draws[2]
+    assert rng.random() == ref.random()
