@@ -18,19 +18,23 @@ point.  Loose is never smaller than tight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Mapping, Union
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from dasgd_sim._kernel import StalenessKernel
 
 
-@dataclass(frozen=True, order=True)
-class GradientId:
+class GradientId(NamedTuple):
     """Identity of one computed gradient.
 
     `step` is the producer's local step counter at computation time, which
     equals the size of the producer's applied set at that moment.  Pairs
     are unique within a run: a node applies its own gradient before it can
     finish another one, so its set grows between computations.
+
+    A tuple, so equality and hashing run in C: the oracle's frozenset
+    comparisons call them millions of times per audit.  The hash is
+    hash((producer, step)), sorting is by (producer, step) and instances
+    are immutable.
     """
 
     producer: int

@@ -10,7 +10,7 @@ representation, so agreement between the two routes is meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from dasgd_sim.ledger import (
     EventLogError,
@@ -152,11 +152,17 @@ class OracleReport:
         )
 
 
-def check_log(lines: Iterable[str]) -> OracleReport:
-    """Replay a log through both routes and diff every staleness value."""
+def check_log(lines: Iterable[str],
+              brute: Optional[BruteForceReplay] = None) -> OracleReport:
+    """Replay a log through both routes and diff every staleness value.
+
+    `brute` is this log's brute-force replay when the caller already has
+    one; otherwise it is made here.  Each route parses the log once.
+    """
     lines = list(lines)
     ledger = StalenessLedger.replay(lines)
-    brute = replay_brute_force(lines, n_nodes=ledger.n_nodes)
+    if brute is None:
+        brute = replay_brute_force(lines, n_nodes=ledger.n_nodes)
     inc = ledger.records
     if len(inc) != len(brute.records):
         raise EventLogError(0, "replay routes disagree on event count")
@@ -173,9 +179,8 @@ def check_log(lines: Iterable[str]) -> OracleReport:
     for node in range(ledger.n_nodes):
         if ledger.applied_set(node) != brute.applied[node]:
             mismatches.append(Mismatch(0, f"final set of node {node}", -1, -1))
-    n_events = sum(1 for _ in parse_event_log(lines))
     return OracleReport(
-        n_events=n_events,
+        n_events=len(brute.snapshots) + len(brute.records),
         n_applications=len(brute.records),
         mismatches=tuple(mismatches),
     )

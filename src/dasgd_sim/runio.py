@@ -30,7 +30,11 @@ from dasgd_sim.engine import (
     run_centralized_asgd,
     run_sync_baseline,
 )
-from dasgd_sim.theory import stepsize_bound_tight
+from dasgd_sim.theory import (
+    rate_bound_bounded_gradients,
+    run_ceiling_inputs,
+    stepsize_bound_tight,
+)
 
 TRACE_COLUMNS = (
     "run_id", "mode", "topology", "n", "eta", "seed", "t", "sim_time",
@@ -156,8 +160,6 @@ def psi_final(result: RunResult) -> float:
 
 def _bound_comparison(effective, result):
     """(bound_text, satisfied_text) for the summary, or skip reasons."""
-    from dasgd_sim.theory import BoundInputs, rate_bound_bounded_gradients
-
     if effective.objective_kind != "quadratic":
         return ("n/a", "skipped (no analytic noise ceiling for logistic)")
     if effective.noise_sigma > 0:
@@ -168,26 +170,13 @@ def _bound_comparison(effective, result):
         return ("n/a", "skipped (zero measured staleness degenerates "
                        "the ceiling)")
     obj = result.config.objective
-    lipschitz = obj.lipschitz_constant()
-    init_gap = obj.loss(result.start) - obj.min_value()
-    rule = stepsize_bound_tight(lipschitz, summary.tight_avg)
-    if result.config.eta > rule * (1 + 1e-9):
+    inputs, rule = run_ceiling_inputs(
+        obj.lipschitz_constant(), obj.loss(result.start) - obj.min_value(),
+        result.config.eta, result.table.vectors, summary.tight_avg,
+        summary.tight_max)
+    if inputs is None:
         return ("n/a", f"skipped (eta {fmt(result.config.eta)} above the "
                        f"stepsize rule {fmt(rule)})")
-    grad_ceiling = max(
-        (float(np.linalg.norm(v)) for v in result.table.vectors), default=0.0
-    )
-    # The ceiling display is stated at the rule's equality, so a smaller
-    # eta is compared as if staleness sat at the level whose rule picks
-    # exactly this eta; measured drift is below that level, keeping the
-    # comparison an upper bound.
-    display_avg = max(summary.tight_avg, 1.0 / (4.0 * lipschitz
-                                                * result.config.eta))
-    inputs = BoundInputs(
-        lipschitz=lipschitz, init_gap=init_gap, eta=result.config.eta,
-        grad_bound=grad_ceiling, tight_avg=display_avg,
-        tight_max=max(float(summary.tight_max), display_avg),
-    )
     horizon = max(row.t for row in result.rows)
     bound = rate_bound_bounded_gradients(inputs, horizon)
     measured = psi_final(result)

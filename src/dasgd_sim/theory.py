@@ -9,8 +9,8 @@ geometric mean of its average and maximum.  All formulas are the
 pre-asymptotic closed forms with explicit constants, so measured traces
 can be compared against concrete numbers rather than big-O shapes.
 
-Everything here is a pure function of floats; nothing touches the
-simulator.
+Everything here is a pure function of numbers and gradient vectors;
+nothing touches the simulator.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 
 def _require(ok: bool, message: str) -> None:
@@ -125,6 +127,32 @@ def rate_bound_bounded_gradients(inputs: BoundInputs, horizon: int) -> float:
         * (r0 / span) ** (2 / 3)
     drift = 4.0 * l * r0 * inputs.tight_avg / span
     return noise + mixed + drift
+
+
+def run_ceiling_inputs(lipschitz: float, init_gap: float, eta: float,
+                       gradients, tight_avg: float, tight_max: float) -> tuple:
+    """(inputs, rule) for holding a finished deterministic run against the
+    bounded-gradient ceiling.
+
+    `rule` is the tight stepsize rule at the measured average staleness;
+    `inputs` is None when eta is above it and the ceiling claims nothing.
+    The gradient bound is the largest norm among the run's `gradients`.
+    The ceiling is stated at the rule's equality, so a smaller eta is
+    compared as if staleness sat at the level whose rule picks exactly
+    this eta; measured drift is below that level, keeping the comparison
+    an upper bound.  Zero measured staleness degenerates the ceiling:
+    callers skip such runs before asking.
+    """
+    rule = stepsize_bound_tight(lipschitz, tight_avg)
+    if eta > rule * _ETA_SLACK:
+        return None, rule
+    grad_bound = max((float(np.linalg.norm(v)) for v in gradients),
+                     default=0.0)
+    display_avg = max(tight_avg, 1.0 / (4.0 * lipschitz * eta))
+    inputs = BoundInputs(lipschitz=lipschitz, init_gap=init_gap, eta=eta,
+                         grad_bound=grad_bound, tight_avg=display_avg,
+                         tight_max=max(float(tight_max), display_avg))
+    return inputs, rule
 
 
 def rate_bound_unbounded_gradients(inputs: BoundInputs, horizon: int) -> float:

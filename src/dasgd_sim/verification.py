@@ -18,11 +18,7 @@ import numpy as np
 from dasgd_sim import runio
 from dasgd_sim.ledger import GradientId
 from dasgd_sim.oracle import check_log, replay_brute_force
-from dasgd_sim.theory import (
-    BoundInputs,
-    rate_bound_bounded_gradients,
-    stepsize_bound_tight,
-)
+from dasgd_sim.theory import rate_bound_bounded_gradients, run_ceiling_inputs
 
 REQUIRED_FILES = ("trace.csv", "staleness.csv", "manifest.txt",
                   "gradients.npz", "models.npz", "summary.txt")
@@ -53,6 +49,9 @@ def _load(run_dir):
         raise MissingRunFiles(run_dir, missing)
     digest, config = runio.read_manifest(os.path.join(run_dir, "manifest.txt"))
     trace = runio.read_trace(os.path.join(run_dir, "trace.csv"))
+    if not trace:
+        # Every run logs each node's start point, so rows are never absent.
+        raise ValueError("trace.csv has no rows")
     staleness = runio.read_staleness(os.path.join(run_dir, "staleness.csv"))
     producers, steps, vectors = runio.read_gradients(
         os.path.join(run_dir, "gradients.npz"))
@@ -69,7 +68,7 @@ def _load(run_dir):
 def _check_agreement(config, trace, staleness, gradients, models):
     producers, steps, vectors = gradients
     x0, finals = models
-    eta = trace[0]["eta"] if trace else 0.0
+    eta = trace[0]["eta"]
     scale = max(1.0, float(np.max(np.abs(finals))))
     spread = 0.0
     for i in range(1, finals.shape[0]):
@@ -107,14 +106,13 @@ def _check_agreement(config, trace, staleness, gradients, models):
     )
 
 
-def _check_oracle(config, staleness, events):
+def _check_oracle(config, staleness, events, replay):
     if events is None:
         return CheckResult("staleness-oracle", "skip",
                            "no peer event log for this mode")
-    report = check_log(events)
+    report = check_log(events, replay)
     if not report.equivalent:
         return CheckResult("staleness-oracle", "fail", str(report))
-    replay = replay_brute_force(events)
     recomputed = {(rec.applier, rec.applier_step):
                   (len(rec.tight), len(rec.loose))
                   for rec in replay.records}
@@ -167,22 +165,13 @@ def _check_rate_bound(config, trace, staleness, gradients, models):
                            "zero measured staleness degenerates the ceiling")
     obj = config.build_objective()
     x0, _ = models
-    lipschitz = obj.lipschitz_constant()
-    init_gap = obj.loss(x0) - obj.min_value()
     eta = trace[0]["eta"]
-    rule = stepsize_bound_tight(lipschitz, tight_avg)
-    if eta > rule * (1 + 1e-9):
+    inputs, rule = run_ceiling_inputs(
+        obj.lipschitz_constant(), obj.loss(x0) - obj.min_value(), eta,
+        gradients[2], tight_avg, tight_max)
+    if inputs is None:
         return CheckResult("rate-bound", "skip",
                            f"eta {eta:.6g} above the stepsize rule {rule:.6g}")
-    _, _, vectors = gradients
-    grad_ceiling = max((float(np.linalg.norm(v)) for v in vectors),
-                       default=0.0)
-    # Ceiling stated at the rule's equality; compare a smaller eta at the
-    # staleness level whose rule picks exactly this eta (see runio).
-    display_avg = max(tight_avg, 1.0 / (4.0 * lipschitz * eta))
-    inputs = BoundInputs(lipschitz=lipschitz, init_gap=init_gap, eta=eta,
-                         grad_bound=grad_ceiling, tight_avg=display_avg,
-                         tight_max=max(float(tight_max), display_avg))
     worst_margin = np.inf
     checked = 0
     for node in sorted({row["node"] for row in trace}):
@@ -206,14 +195,14 @@ def _check_rate_bound(config, trace, staleness, gradients, models):
                        f"(min margin {worst_margin:.3g})")
 
 
-def _check_descent(config, trace, gradients, models, events):
+def _check_descent(config, trace, gradients, models, replay):
     if config.objective_kind != "quadratic":
         return CheckResult("descent-step", "skip",
                            "stochastic (row sampling); "
                            "per-event form needs exact gradients")
     if config.noise_sigma > 0:
         return CheckResult("descent-step", "skip", "skipped (stochastic)")
-    if events is None:
+    if replay is None:
         return CheckResult("descent-step", "skip",
                            "no peer event log for this mode")
     obj = config.build_objective()
@@ -224,24 +213,31 @@ def _check_descent(config, trace, gradients, models, events):
                            f"eta {eta:.6g} above 1/(2L) = "
                            f"{1.0 / (2.0 * lipschitz):.6g}")
     producers, steps, vectors = gradients
-    by_id = {GradientId(int(p), int(s)): vectors[i]
-             for i, (p, s) in enumerate(zip(producers, steps))}
+    row_of = {GradientId(int(p), int(s)): i
+              for i, (p, s) in enumerate(zip(producers, steps))}
+    magnitude = np.abs(vectors)
     x0, _ = models
-    replay = replay_brute_force(events)
     params = [x0.copy() for _ in range(replay.n_nodes)]
+    # Each node's loss after a step is its loss before the next one.
+    losses = [obj.loss(x0)] * replay.n_nodes
     checked = 0
     for rec in replay.records:
         node = rec.applier
-        ident = GradientId(rec.producer, rec.producer_step)
-        drift = np.zeros_like(x0)
-        for other in rec.tight:
-            drift += np.abs(by_id[other])
-        drift *= eta
+        try:
+            row = row_of[GradientId(rec.producer, rec.producer_step)]
+            rows = [row_of[other] for other in rec.tight]
+        except KeyError as exc:
+            return CheckResult(
+                "descent-step", "fail",
+                f"applier {node} step {rec.applier_step}: "
+                f"{exc.args[0]} absent from gradients.npz",
+            )
+        drift = eta * magnitude[rows].sum(axis=0)
         before = params[node]
-        after = before - eta * by_id[ident]
+        after = before - eta * vectors[row]
         grad = obj.full_gradient(before)
         lhs = obj.loss(after)
-        rhs = (obj.loss(before)
+        rhs = (losses[node]
                - 0.5 * eta * float(grad @ grad)
                + 0.5 * eta * lipschitz**2 * float(drift @ drift))
         slack = 1e-9 * max(1.0, abs(rhs))
@@ -252,18 +248,21 @@ def _check_descent(config, trace, gradients, models, events):
                 f"f-after {lhs:.9g} exceeds allowance {rhs:.9g}",
             )
         params[node] = after
+        losses[node] = lhs
         checked += 1
     return CheckResult("descent-step", "pass",
                        f"inequality held at {checked}/{checked} events")
 
 
 def verify_run(run_dir: str) -> list:
-    """All four checks, in a fixed order."""
+    """All four checks, in a fixed order.  The event log is replayed by
+    brute force once; the oracle and descent checks share that replay."""
     digest, config, trace, staleness, gradients, models, events = \
         _load(run_dir)
+    replay = None if events is None else replay_brute_force(events)
     return [
         _check_agreement(config, trace, staleness, gradients, models),
-        _check_oracle(config, staleness, events),
+        _check_oracle(config, staleness, events, replay),
         _check_rate_bound(config, trace, staleness, gradients, models),
-        _check_descent(config, trace, gradients, models, events),
+        _check_descent(config, trace, gradients, models, replay),
     ]

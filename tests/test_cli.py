@@ -258,6 +258,60 @@ def test_verify_missing_file_exits_2(tmp_path, capsys):
     assert "trace.csv" in capsys.readouterr().err
 
 
+def test_verify_reports_gradient_missing_from_archive(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL)
+    out = str(tmp_path / "out")
+    main(["run", "--config", cfg, "--out", out])
+    path = os.path.join(out, "gradients.npz")
+    producers, steps, vectors = runio.read_gradients(path)
+    np.savez(path, producers=producers[:-1], steps=steps[:-1],
+             vectors=vectors[:-1])
+    missing = f"GradientId(producer={producers[-1]}, step={steps[-1]})"
+    capsys.readouterr()
+    assert main(["verify", out]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split()[:2] for l in lines] == [
+        ["FAIL", "final-agreement:"], ["PASS", "staleness-oracle:"],
+        ["PASS", "rate-bound:"], ["FAIL", "descent-step:"],
+    ]
+    assert lines[3].endswith(f"{missing} absent from gradients.npz")
+
+
+def test_verify_header_only_trace_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL)
+    out = str(tmp_path / "out")
+    main(["run", "--config", cfg, "--out", out])
+    path = os.path.join(out, "trace.csv")
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header)
+    capsys.readouterr()
+    assert main(["verify", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unreadable run directory: trace.csv has no rows\n")
+
+
+def test_verify_protocol_violation_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL)
+    out = str(tmp_path / "out")
+    main(["run", "--config", cfg, "--out", out])
+    path = os.path.join(out, "events.log")
+    with open(path, "r", encoding="utf-8") as fh:
+        line_no = len(fh.read().splitlines()) + 1
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("APPLY 0 90 0 0\n")
+    capsys.readouterr()
+    assert main(["verify", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: unreadable run directory: line {line_no}: "
+        f"GradientId(producer=0, step=0) applied twice by node 0\n")
+
+
 def test_oracle_command_on_real_log(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL)
     out = str(tmp_path / "out")

@@ -51,6 +51,19 @@ HAND_EXPECTED = [
 ]
 
 
+def test_gradient_id_semantics():
+    # Set iteration order, sorted output and error texts all rest on these.
+    ident = GradientId(4, 239)
+    assert hash(ident) == hash((4, 239))
+    assert sorted([GradientId(1, 0), GradientId(0, 5), GradientId(0, 2)]) == [
+        GradientId(0, 2), GradientId(0, 5), GradientId(1, 0)]
+    assert repr(ident) == "GradientId(producer=4, step=239)"
+    assert str(ident) == repr(ident)
+    assert (ident.producer, ident.step) == (4, 239)
+    with pytest.raises(AttributeError):
+        ident.step = 240
+
+
 def test_tight_staleness_set_algebra():
     abc = frozenset("abc")
     bcd = frozenset("bcd")

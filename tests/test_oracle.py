@@ -5,7 +5,12 @@ import io
 import numpy as np
 import pytest
 
-from dasgd_sim.ledger import EventLogError, GradientId, loose_staleness
+from dasgd_sim.ledger import (
+    EventLogError,
+    GradientId,
+    loose_staleness,
+    parse_event_log,
+)
 from dasgd_sim.oracle import (
     check_log,
     naive_loose_staleness,
@@ -58,6 +63,17 @@ def test_check_log_rejects_duplicate_apply():
     lines = HAND_LOG.splitlines() + ["APPLY 2 3 1 0"]
     with pytest.raises(EventLogError):
         check_log(lines)
+
+
+def test_check_log_accepts_precomputed_replay():
+    # The same 1000 logs criterion 5 draws.
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        n = int(rng.integers(1, 6))
+        lines = random_event_log(rng, n, max_total_steps=50)
+        report = check_log(lines)
+        assert check_log(lines, replay_brute_force(lines)) == report
+        assert report.n_events == sum(1 for _ in parse_event_log(lines))
 
 
 def test_brute_force_validates_steps():

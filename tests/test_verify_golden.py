@@ -1,0 +1,145 @@
+"""`verify` output pinned byte for byte, and the work one `verify` does.
+
+The expected stdout below was taken from `verify` when each check still
+made its own brute-force replay of the event log; sharing one replay
+must not change a character.  The objectives are one-dimensional so
+that no LAPACK routine feeds the pinned bytes.
+"""
+
+import os
+
+import pytest
+
+from dasgd_sim import ledger, oracle, verification
+from dasgd_sim.cli import main
+
+# Random latency reorders deliveries, so foreign applications carry
+# staleness; eta sits below both the stepsize rule and 1/(2L), so all
+# four checks apply and pass.
+FC_EXPONENTIAL = """\
+[run]
+seed = 4
+samples_per_node = 25
+
+[objective]
+dim = 1
+condition = 4.0
+
+[topology]
+kind = fully_connected
+n = 5
+
+[timing]
+compute = uniform:0.8:1.2
+latency = exponential:0.3
+
+[sgd]
+eta = 0.02
+"""
+
+# The healthy fixture of test_cli.py at dim 1.
+SMALL = """\
+[run]
+seed = 3
+samples_per_node = 30
+
+[objective]
+dim = 1
+condition = 8.0
+
+[topology]
+kind = fully_connected
+n = 3
+
+[sgd]
+eta = 0.01
+"""
+
+
+def bump_first_foreign_tight(out):
+    """Add one to the tight size of the first foreign application."""
+    path = os.path.join(out, "staleness.csv")
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        parts = line.split(",")
+        if parts[2] != parts[4]:
+            parts[6] = str(int(parts[6]) + 1)
+            lines[i] = ",".join(parts)
+            break
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+GOLDEN = {
+    "fc_exponential": (FC_EXPONENTIAL, None, 0, (
+        "PASS final-agreement: 5 model(s) within 7.03e-18, "
+        "rebuild within 4.80e-16\n"
+        "PASS staleness-oracle: 625 events match the brute-force replay\n"
+        "PASS rate-bound: 630 logged points under the ceiling "
+        "(min margin 1.75)\n"
+        "PASS descent-step: inequality held at 625/625 events\n"
+    )),
+    "small": (SMALL, None, 0, (
+        "PASS final-agreement: 3 model(s) within 0.00e+00, "
+        "rebuild within 7.22e-16\n"
+        "PASS staleness-oracle: 270 events match the brute-force replay\n"
+        "PASS rate-bound: 273 logged points under the ceiling "
+        "(min margin 8.67)\n"
+        "PASS descent-step: inequality held at 270/270 events\n"
+    )),
+    "small_tampered_staleness": (SMALL, bump_first_foreign_tight, 1, (
+        "PASS final-agreement: 3 model(s) within 0.00e+00, "
+        "rebuild within 7.22e-16\n"
+        "FAIL staleness-oracle: applier 0 step 1: csv says (2, 1), "
+        "brute force says (1, 1)\n"
+        "PASS rate-bound: 273 logged points under the ceiling "
+        "(min margin 8.67)\n"
+        "PASS descent-step: inequality held at 270/270 events\n"
+    )),
+}
+
+
+def make_run(tmp_path, capsys, text):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(text, encoding="utf-8")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(cfg), "--out", out]) == 0
+    capsys.readouterr()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_verify_stdout_is_pinned(tmp_path, capsys, name):
+    text, tamper, code, expected = GOLDEN[name]
+    out = make_run(tmp_path, capsys, text)
+    if tamper is not None:
+        tamper(out)
+    assert main(["verify", out]) == code
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+
+
+def test_verify_replays_the_log_once(tmp_path, capsys, monkeypatch):
+    out = make_run(tmp_path, capsys, FC_EXPONENTIAL)
+    calls = {"replay": 0, "parse": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    replay = counting("replay", oracle.replay_brute_force)
+    monkeypatch.setattr(verification, "replay_brute_force", replay)
+    monkeypatch.setattr(oracle, "replay_brute_force", replay)
+    parse = counting("parse", ledger.parse_event_log)
+    monkeypatch.setattr(ledger, "parse_event_log", parse)
+    monkeypatch.setattr(oracle, "parse_event_log", parse)
+
+    checks = verification.verify_run(out)
+    assert [c.status for c in checks] == ["pass"] * 4
+    # One brute-force replay, shared by the oracle and descent checks;
+    # the log is parsed once by it and once by the ledger replay.
+    assert calls == {"replay": 1, "parse": 2}
