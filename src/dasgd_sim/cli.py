@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -24,19 +23,6 @@ from dasgd_sim.theory import stepsize_bound_tight
 from dasgd_sim.verification import MissingRunFiles, verify_run
 
 SWEEP_AXES = ("n", "topology", "eta", "sigma")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("DASGD_SIM_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise SystemExit(_usage_error(
-            f"DASGD_SIM_THREADS={raw!r} is not an integer"))
-    if count < 1:
-        raise SystemExit(_usage_error(
-            f"DASGD_SIM_THREADS must be >= 1, got {count}"))
-    return count
 
 
 def _usage_error(message: str) -> int:
@@ -73,24 +59,18 @@ def _divergence_exit(config: ExperimentConfig, exc: DivergenceError) -> int:
 
 
 def _run_replicas(config: ExperimentConfig, out_dir: str) -> list:
-    """Execute every replica (thread pool size from DASGD_SIM_THREADS)
-    and write one directory per replica.  Returns the run directories."""
-    threads = _thread_count()
-    indices = list(range(config.replicas))
-
-    def work(replica):
+    """Execute the replicas one after another and write one directory per
+    replica.  Returns the run directories."""
+    dirs = []
+    for replica in range(config.replicas):
         result, effective, eta_source = runio.execute(config, replica)
         if config.replicas == 1:
             target = out_dir
         else:
             target = os.path.join(out_dir, f"replica{replica:03d}")
         runio.write_run_dir(target, effective, result, eta_source)
-        return target
-
-    if threads == 1 or len(indices) == 1:
-        return [work(r) for r in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, indices))
+        dirs.append(target)
+    return dirs
 
 
 def cmd_run(args) -> int:

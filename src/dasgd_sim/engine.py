@@ -107,18 +107,16 @@ class TraceEvent:
 
 
 class GradientTable:
-    """Dense store of every computed gradient vector, indexed by the same
-    ids the ledger kernel assigns."""
+    """Dense store of every computed gradient's identity and vector,
+    indexed by the same ids the ledger kernel assigns."""
 
     def __init__(self):
-        self.producers: list[int] = []
-        self.steps: list[int] = []
+        self.ids: list[GradientId] = []
         self.vectors: list[np.ndarray] = []
 
-    def add(self, producer: int, step: int, vector: np.ndarray) -> int:
+    def add(self, ident: GradientId, vector: np.ndarray) -> int:
         gid = len(self.vectors)
-        self.producers.append(producer)
-        self.steps.append(step)
+        self.ids.append(ident)
         self.vectors.append(vector)
         return gid
 
@@ -128,7 +126,7 @@ class GradientTable:
     def canonical_order(self, gids) -> list:
         """Ids sorted by (producer, step): the shared summation order that
         makes equal sets reconstruct bit-identical models."""
-        return sorted(gids, key=lambda g: (self.producers[g], self.steps[g]))
+        return sorted(gids, key=lambda g: self.ids[g])
 
     def reconstruct(self, x0: np.ndarray, eta: float, gids) -> np.ndarray:
         total = np.zeros_like(x0)
@@ -200,10 +198,9 @@ def run(config: SimConfig) -> RunResult:
     rng_time = _timing_rng(config.seed)
     total_expected = n * config.samples_per_node
 
-    ledger = StalenessLedger(n, expected_gradients=total_expected)
+    ledger = StalenessLedger(n)
     network = Network(config.topology, config.latency)
     table = GradientTable()
-    idents: list[GradientId] = []            # dense gid -> identity
     params = [x0.copy() for _ in range(n)]
     inbox = [deque() for _ in range(n)]
     budget = [config.samples_per_node] * n
@@ -236,7 +233,7 @@ def run(config: SimConfig) -> RunResult:
         )
 
     def apply_one(node, gid, now, arrived_from):
-        rec = ledger.record_application(node, idents[gid])
+        rec = ledger.record_application(node, table.ids[gid])
         params[node] -= eta * table.vectors[gid]
         staleness_log.append((now, rec))
         events.append(TraceEvent(now, "apply", node, gid))
@@ -259,8 +256,7 @@ def run(config: SimConfig) -> RunResult:
         vector = obj.stochastic_gradient(
             params[node], gradient_seed(config.seed, node, ident.step)
         )
-        gid = table.add(node, ident.step, np.asarray(vector, dtype=float))
-        idents.append(ident)
+        gid = table.add(ident, np.asarray(vector, dtype=float))
         events.append(TraceEvent(now, "compute", node, gid))
         apply_one(node, gid, now, None)
         for msg in network.disseminate(node, gid, now, rng_time):
@@ -344,7 +340,7 @@ def run_sync_baseline(config: SimConfig) -> RunResult:
     rng_time = _timing_rng(config.seed)
     rounds = config.samples_per_node
 
-    ledger = StalenessLedger(1, expected_gradients=rounds)
+    ledger = StalenessLedger(1)
     table = GradientTable()
     x = x0.copy()
     now = 0.0
@@ -378,7 +374,7 @@ def run_sync_baseline(config: SimConfig) -> RunResult:
             now += max(durations)
             averaged = grads.mean(axis=0)
             ident = ledger.record_compute(0)
-            gid = table.add(0, ident.step, averaged)
+            table.add(ident, averaged)
             rec = ledger.record_application(0, ident)
             x -= eta * averaged
             if not np.all(np.isfinite(x)):
@@ -486,7 +482,7 @@ def run_centralized_asgd(config: SimConfig) -> RunResult:
             server -= eta * np.asarray(vector, dtype=float)
             if not np.all(np.isfinite(server)):
                 raise DivergenceError(-1, update_count + 1, now, eta)
-            table.add(worker, step, np.asarray(vector, dtype=float))
+            table.add(ident, np.asarray(vector, dtype=float))
             server_set.add(ident)
             update_count += 1
             rec = StalenessRecord(

@@ -7,6 +7,12 @@ have drifted apart.  This module tracks the sets incrementally through a
 bitset kernel, computes the tight and loose difference sizes for every
 application event, and aggregates the run-level summary.
 
+The kernel gives gradients dense integer ids in creation order and keeps
+each per-node set as a plain Python int used as a bitmask.  Snapshotting
+a node's set at gradient creation is then a reference copy (ints are
+immutable), and the set algebra per application event is a handful of
+word operations.
+
 Two notions of drift are recorded per event.  The tight size counts the
 symmetric difference between the applier's current set and the snapshot
 the incoming gradient was computed from.  The loose size enlarges that
@@ -20,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Union
 
-from dasgd_sim._kernel import StalenessKernel
 
 
 class GradientId(NamedTuple):
@@ -108,6 +113,109 @@ def loose_staleness(
     return frozenset(result)
 
 
+class StalenessKernel:
+    """Tracks which gradient ids each node has applied and measures, per
+    application event, the drift between applier and producer.
+
+    The tight measure is the size of the symmetric difference between the
+    applier's current set and the snapshot the gradient was created from.
+    The loose measure additionally chases every gradient of the snapshot
+    that the applier has not seen into that gradient's own snapshot, to a
+    fixed point, and counts the union of all the differences.
+
+    Nodes must lie in [0, n_nodes) and gradient ids in [0, n_gradients);
+    anything else raises IndexError instead of indexing from the end.
+    """
+
+    def __init__(self, n_nodes: int):
+        if n_nodes < 1:
+            raise ValueError("need at least one node")
+        self._members = [0] * n_nodes
+        self._snapshots: list[int] = []  # gid -> producer's set at creation
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self._members)
+
+    @property
+    def n_gradients(self) -> int:
+        return len(self._snapshots)
+
+    def _check_node(self, node: int) -> None:
+        if not 0 <= node < len(self._members):
+            raise IndexError(f"node {node} out of range")
+
+    def _check_gid(self, gid: int) -> None:
+        if not 0 <= gid < len(self._snapshots):
+            raise IndexError(f"unknown gradient id {gid}")
+
+    def register_gradient(self, producer: int) -> int:
+        """Mint the id for a gradient `producer` just finished computing.
+
+        The producer's current set becomes the gradient's snapshot; the
+        gradient itself is never part of its own snapshot.
+        """
+        self._check_node(producer)
+        gid = len(self._snapshots)
+        self._snapshots.append(self._members[producer])
+        return gid
+
+    def apply_gradient(self, node: int, gid: int) -> tuple[int, int]:
+        """Add gid to node's set; return (tight, loose) sizes measured
+        against the node's set from before the insertion."""
+        self._check_node(node)
+        self._check_gid(gid)
+        members = self._members[node]
+        bit = 1 << gid
+        if members & bit:
+            raise ValueError(f"gradient {gid} already applied by node {node}")
+        snap = self._snapshots[gid]
+        tight = (members ^ snap).bit_count()
+        loose = self._loose_size(members, snap)
+        self._members[node] = members | bit
+        return tight, loose
+
+    def _loose_size(self, members: int, snap: int) -> int:
+        result = members ^ snap
+        frontier = snap & ~members
+        seen = frontier
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            g_snap = self._snapshots[low.bit_length() - 1]
+            result |= members ^ g_snap
+            fresh = g_snap & ~members & ~seen
+            seen |= fresh
+            frontier |= fresh
+        return result.bit_count()
+
+    def node_size(self, node: int) -> int:
+        self._check_node(node)
+        return self._members[node].bit_count()
+
+    def node_contains(self, node: int, gid: int) -> bool:
+        self._check_node(node)
+        self._check_gid(gid)
+        return bool(self._members[node] >> gid & 1)
+
+    def node_members(self, node: int) -> frozenset[int]:
+        self._check_node(node)
+        return _bits_to_ids(self._members[node])
+
+    def snapshot_members(self, gid: int) -> frozenset[int]:
+        self._check_gid(gid)
+        return _bits_to_ids(self._snapshots[gid])
+
+
+def _bits_to_ids(mask: int) -> frozenset[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return frozenset(out)
+
+
 class StalenessLedger:
     """Single-writer record of every computation and application event.
 
@@ -115,8 +223,10 @@ class StalenessLedger:
     summaries and records handed out are immutable.
     """
 
-    def __init__(self, n_nodes: int, expected_gradients: int = 0):
-        self._kernel = StalenessKernel(n_nodes, expected_gradients)
+    def __init__(self, n_nodes: int):
+        # Looked up by name at construction: perfbench/tracer.py rebinds
+        # the module global to a timing subclass.
+        self._kernel = StalenessKernel(n_nodes)
         self._ids: list[GradientId] = []          # dense gid -> identity
         self._gids: dict[GradientId, int] = {}
         self._records: list[StalenessRecord] = []
@@ -181,14 +291,6 @@ class StalenessLedger:
         if gid is None:
             raise ValueError(f"{gradient} was never computed")
         return frozenset(self._ids[g] for g in self._kernel.snapshot_members(gid))
-
-    def snapshots(self) -> dict[GradientId, frozenset]:
-        """All creation snapshots, keyed by gradient identity."""
-        return {ident: self.snapshot(ident) for ident in self._ids}
-
-    def contains(self, node: int, gradient: GradientId) -> bool:
-        gid = self._gids.get(gradient)
-        return gid is not None and self._kernel.node_contains(node, gid)
 
     def node_step(self, node: int) -> int:
         return self._kernel.node_size(node)

@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from dasgd_sim._kernel import KERNEL_IMPL
+from dasgd_sim import KERNEL_IMPL
 from dasgd_sim.config import ConfigError, ExperimentConfig
 from dasgd_sim.engine import (
     RunResult,
@@ -140,8 +140,8 @@ def _write_gradients(path, result):
     vectors = (np.stack(table.vectors) if table.vectors
                else np.zeros((0, dim)))
     np.savez(path,
-             producers=np.asarray(table.producers, dtype=np.int64),
-             steps=np.asarray(table.steps, dtype=np.int64),
+             producers=np.array([i.producer for i in table.ids], dtype=np.int64),
+             steps=np.array([i.step for i in table.ids], dtype=np.int64),
              vectors=vectors)
 
 
@@ -244,47 +244,59 @@ def read_manifest(path: str):
     return digest, config
 
 
-def read_trace(path: str) -> list:
-    """Trace rows as dicts with numeric fields converted."""
+def _read_csv(path: str, columns: tuple, kind: str) -> list:
+    """Rows of a CSV file written with `columns`, as dicts of strings.
+    A row whose field count differs from the header's is rejected with
+    the file and line, instead of surfacing later as a missing key."""
+    name = os.path.basename(path)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        if tuple(header) != TRACE_COLUMNS:
-            raise ValueError(f"unexpected trace header {header}")
+        if tuple(header) != columns:
+            raise ValueError(f"unexpected {kind} header {header}")
         rows = []
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
-            row = dict(zip(TRACE_COLUMNS, parts))
-            for key in ("n", "seed", "t", "node",
-                        "tight_staleness", "loose_staleness"):
-                row[key] = int(row[key])
-            for key in ("eta", "sim_time", "loss", "grad_norm_sq"):
-                row[key] = float(row[key])
-            rows.append(row)
+            if len(parts) != len(columns):
+                raise ValueError(f"{name} line {line_no}: {len(parts)} "
+                                 f"fields, header has {len(columns)}")
+            rows.append(dict(zip(columns, parts)))
+    return rows
+
+
+def read_trace(path: str) -> list:
+    """Trace rows as dicts with numeric fields converted."""
+    rows = _read_csv(path, TRACE_COLUMNS, "trace")
+    for row in rows:
+        for key in ("n", "seed", "t", "node",
+                    "tight_staleness", "loose_staleness"):
+            row[key] = int(row[key])
+        for key in ("eta", "sim_time", "loss", "grad_norm_sq"):
+            row[key] = float(row[key])
     return rows
 
 
 def read_staleness(path: str) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != STALENESS_COLUMNS:
-            raise ValueError(f"unexpected staleness header {header}")
-        rows = []
-        for line in fh:
-            parts = line.strip().split(",")
-            row = dict(zip(STALENESS_COLUMNS, parts))
-            for key in ("applier", "applier_step", "producer",
-                        "producer_step", "tight", "loose"):
-                row[key] = int(row[key])
-            row["sim_time"] = float(row["sim_time"])
-            rows.append(row)
+    rows = _read_csv(path, STALENESS_COLUMNS, "staleness")
+    for row in rows:
+        for key in ("applier", "applier_step", "producer",
+                    "producer_step", "tight", "loose"):
+            row[key] = int(row[key])
+        row["sim_time"] = float(row["sim_time"])
     return rows
 
 
+def _read_arrays(path: str, names: tuple) -> tuple:
+    with np.load(path) as data:
+        missing = [key for key in names if key not in data.files]
+        if missing:
+            raise ValueError(f"{os.path.basename(path)} has no "
+                             f"{', '.join(missing)} array")
+        return tuple(data[key] for key in names)
+
+
 def read_gradients(path: str):
-    data = np.load(path)
-    return data["producers"], data["steps"], data["vectors"]
+    return _read_arrays(path, ("producers", "steps", "vectors"))
 
 
 def read_models(path: str):
-    data = np.load(path)
-    return data["x0"], data["finals"]
+    return _read_arrays(path, ("x0", "finals"))

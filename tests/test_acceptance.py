@@ -176,10 +176,7 @@ def _descent_violations(cfg, eta):
     result.ledger.export_events(buffer)
     replay = replay_brute_force(buffer.getvalue().splitlines())
     table = result.table
-    by_id = {
-        GradientId(table.producers[g], table.steps[g]): table.vectors[g]
-        for g in range(len(table))
-    }
+    by_id = dict(zip(table.ids, table.vectors))
     params = [result.start.copy() for _ in range(cfg.n)]
     checked = 0
     bad = 0

@@ -136,22 +136,6 @@ def test_replicas_get_subdirectories(tmp_path):
     assert s0["seed"] == "3" and s1["seed"] == "4"
 
 
-def test_threaded_replicas_match_sequential(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, SMALL)
-    seq, par = str(tmp_path / "seq"), str(tmp_path / "par")
-    assert main(["run", "--config", cfg, "--out", seq,
-                 "--replicas", "2"]) == 0
-    monkeypatch.setenv("DASGD_SIM_THREADS", "2")
-    assert main(["run", "--config", cfg, "--out", par,
-                 "--replicas", "2"]) == 0
-    for rep in ("replica000", "replica001"):
-        with open(os.path.join(seq, rep, "trace.csv"), "rb") as fh:
-            first = fh.read()
-        with open(os.path.join(par, rep, "trace.csv"), "rb") as fh:
-            second = fh.read()
-        assert first == second
-
-
 def test_config_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.ini")
     assert main(["run", "--config", missing,
@@ -277,21 +261,52 @@ def test_verify_reports_gradient_missing_from_archive(tmp_path, capsys):
     assert lines[3].endswith(f"{missing} absent from gradients.npz")
 
 
-def test_verify_header_only_trace_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, SMALL)
-    out = str(tmp_path / "out")
-    main(["run", "--config", cfg, "--out", out])
-    path = os.path.join(out, "trace.csv")
+def keep_header(path):
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header)
+
+
+def drop_last_fields(line_no, count):
+    def damage(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[line_no - 1] = ",".join(lines[line_no - 1].split(",")[:-count])
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    return damage
+
+
+def drop_vectors(path):
+    producers, steps, _ = runio.read_gradients(path)
+    np.savez(path, producers=producers, steps=steps)
+
+
+# case -> (file, damage, message after "unreadable run directory: ")
+DAMAGED_FILES = {
+    "header_only_trace": ("trace.csv", keep_header, "trace.csv has no rows"),
+    "short_trace_row": ("trace.csv", drop_last_fields(3, 1),
+                        "trace.csv line 3: 12 fields, header has 13"),
+    "short_staleness_row": ("staleness.csv", drop_last_fields(2, 2),
+                            "staleness.csv line 2: 6 fields, header has 8"),
+    "no_vectors_array": ("gradients.npz", drop_vectors,
+                         "gradients.npz has no vectors array"),
+}
+
+
+@pytest.mark.parametrize("case", list(DAMAGED_FILES))
+def test_verify_damaged_file_exits_2(tmp_path, capsys, case):
+    fname, damage, message = DAMAGED_FILES[case]
+    cfg = write_config(tmp_path, SMALL)
+    out = str(tmp_path / "out")
+    main(["run", "--config", cfg, "--out", out])
+    damage(os.path.join(out, fname))
     capsys.readouterr()
     assert main(["verify", out]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: unreadable run directory: trace.csv has no rows\n")
+    assert captured.err == f"error: unreadable run directory: {message}\n"
 
 
 def test_verify_protocol_violation_exits_2(tmp_path, capsys):

@@ -13,7 +13,7 @@ import os
 import pytest
 
 from dasgd_sim import runio
-from dasgd_sim._kernel import KERNEL_IMPL
+from dasgd_sim import KERNEL_IMPL
 from dasgd_sim.cli import main
 from dasgd_sim.config import ExperimentConfig
 from dasgd_sim.engine import SimConfig, run

@@ -150,6 +150,20 @@ def test_unknown_gradient_raises():
         ledger.record_application(0, GradientId(1, 3))
 
 
+def test_node_out_of_range_raises():
+    # Node -1 used to alias node n - 1 through negative indexing.
+    ledger = StalenessLedger(3)
+    with pytest.raises(IndexError):
+        ledger.record_compute(-1)
+    with pytest.raises(IndexError):
+        ledger.record_compute(3)
+    g = ledger.record_compute(0)
+    with pytest.raises(IndexError):
+        ledger.record_application(-1, g)
+    assert ledger.n_gradients == 1
+    assert [ledger.node_step(i) for i in range(3)] == [0, 0, 0]
+
+
 def test_compute_before_self_apply_raises():
     ledger = StalenessLedger(2)
     ledger.record_compute(0)
