@@ -87,7 +87,7 @@ class ExperimentConfig:
             )
         return LogisticObjective(features, labels, ridge=self.ridge)
 
-    def sim_config(self, eta: float, replica: int = 0) -> SimConfig:
+    def sim_config(self, eta: float) -> SimConfig:
         return SimConfig(
             topology=self.build_topology(),
             objective=self.build_objective(),
@@ -95,7 +95,7 @@ class ExperimentConfig:
             samples_per_node=self.samples_per_node,
             compute_time=_parse_distribution("timing", "compute", self.compute),
             latency=_parse_distribution("timing", "latency", self.latency),
-            seed=self.seed + replica,
+            seed=self.seed,
             compute_scale=self.compute_scale or None,
             metric_stride=self.metric_stride,
         )

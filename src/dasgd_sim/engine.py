@@ -26,7 +26,13 @@ from typing import Optional
 
 import numpy as np
 
-from dasgd_sim.ledger import GradientId, StalenessLedger, StalenessRecord, StalenessSummary
+from dasgd_sim.ledger import (
+    GradientId,
+    StalenessLedger,
+    StalenessRecord,
+    StalenessSummary,
+    summarize_applications,
+)
 from dasgd_sim.netsim import (
     MessageCounts,
     Network,
@@ -34,6 +40,7 @@ from dasgd_sim.netsim import (
     Topology,
     validate_topology,
 )
+from dasgd_sim.theory import running_psi
 
 DELIVER = 0        # sorts before COMPUTE_DONE at equal times
 COMPUTE_DONE = 1
@@ -159,15 +166,9 @@ class RunResult:
     def psi_series(self, node: int) -> list:
         """(t, running average of grad_norm_sq over steps 0..t) for one
         model.  Needs metric_stride=1 to cover every step."""
-        rows = sorted(
-            (r for r in self.rows if r.node == node), key=lambda r: r.t
-        )
-        out = []
-        acc = 0.0
-        for k, row in enumerate(rows):
-            acc += row.grad_norm_sq
-            out.append((row.t, acc / (k + 1)))
-        return out
+        rows = self.node_rows(node)
+        return list(zip((r.t for r in rows),
+                        running_psi(r.grad_norm_sq for r in rows)))
 
     def node_rows(self, node: int) -> list:
         return sorted((r for r in self.rows if r.node == node), key=lambda r: r.t)
@@ -179,23 +180,55 @@ def gradient_seed(master: int, producer: int, step: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _timing_rng(master: int):
-    return np.random.default_rng(np.random.SeedSequence([master, 1]))
+def _start(config: SimConfig) -> tuple:
+    """Validate the config; return the start point, the per-node compute
+    speed multipliers and the timing stream every runner draws from."""
+    config.validate()
+    x0 = np.array(
+        config.objective.default_start() if config.start is None
+        else config.start,
+        dtype=float,
+    )
+    scale = (tuple(config.compute_scale) if config.compute_scale
+             else (1.0,) * config.n)
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
+    return x0, scale, rng
+
+
+def _check_finite(x, label: int, t: int, now: float, eta: float) -> None:
+    """Parameters that left the finite range after step t diverged."""
+    if not np.all(np.isfinite(x)):
+        raise DivergenceError(label, t, now, eta)
+
+
+def _log_metrics(rows: list, config: SimConfig, last_t: int, label: int,
+                 x, t: int, now: float, node: int,
+                 tight: int = 0, loose: int = 0) -> None:
+    """Append the trace row of step t unless the metric stride thins it
+    out; t=0 and the last step `last_t` are always logged.  A loss or
+    gradient norm that is not finite is divergence, reported at `label`
+    like the parameter check."""
+    if t % config.metric_stride and t != last_t:
+        return
+    obj = config.objective
+    try:
+        loss = obj.loss(x)
+        grad = obj.full_gradient(x)
+        gsq = float(grad @ grad)
+    except FloatingPointError:
+        raise DivergenceError(label, t, now, config.eta) from None
+    if not np.isfinite(gsq):
+        raise DivergenceError(label, t, now, config.eta)
+    rows.append(TraceRow(t, now, node, loss, gsq, tight, loose))
 
 
 def run(config: SimConfig) -> RunResult:
     """Execute the decentralized protocol until every budget is spent and
     every gradient has reached and been applied by every node."""
-    config.validate()
+    x0, scale, rng_time = _start(config)
     n = config.n
     obj = config.objective
     eta = config.eta
-    x0 = np.array(
-        obj.default_start() if config.start is None else config.start,
-        dtype=float,
-    )
-    scale = tuple(config.compute_scale) if config.compute_scale else (1.0,) * n
-    rng_time = _timing_rng(config.seed)
     total_expected = n * config.samples_per_node
 
     ledger = StalenessLedger(n)
@@ -217,29 +250,15 @@ def run(config: SimConfig) -> RunResult:
         heapq.heappush(heap, (time, kind, node, seq, payload))
         seq += 1
 
-    def metrics(node, now, t_new, rec):
-        if t_new % config.metric_stride and t_new != total_expected:
-            return
-        try:
-            loss = obj.loss(params[node])
-            grad = obj.full_gradient(params[node])
-            gsq = float(grad @ grad)
-        except FloatingPointError:
-            raise DivergenceError(node, t_new, now, eta) from None
-        if not np.isfinite(gsq):
-            raise DivergenceError(node, t_new, now, eta)
-        rows.append(
-            TraceRow(t_new, now, node, loss, gsq, rec.tight_size, rec.loose_size)
-        )
-
     def apply_one(node, gid, now, arrived_from):
         rec = ledger.record_application(node, table.ids[gid])
         params[node] -= eta * table.vectors[gid]
         staleness_log.append((now, rec))
         events.append(TraceEvent(now, "apply", node, gid))
-        if not np.all(np.isfinite(params[node])):
-            raise DivergenceError(node, rec.applier_step + 1, now, eta)
-        metrics(node, now, rec.applier_step + 1, rec)
+        t = rec.applier_step + 1
+        _check_finite(params[node], node, t, now, eta)
+        _log_metrics(rows, config, total_expected, node, params[node], t, now,
+                     node, rec.tight_size, rec.loose_size)
         if arrived_from is not None:
             for msg in network.relay(node, gid, arrived_from, now, rng_time):
                 events.append(TraceEvent(now, "send", node, msg.gid))
@@ -281,10 +300,7 @@ def run(config: SimConfig) -> RunResult:
             apply_one(node, msg.gid, now, msg.sender)
 
     for node in range(n):
-        rec0 = StalenessRecord(node, 0, node, 0, 0, 0)
-        metrics(node, 0.0, 0, rec0)
-    # The t=0 rows above reuse the record shape for its zero staleness
-    # fields; stride never skips t=0 because 0 % stride == 0.
+        _log_metrics(rows, config, total_expected, node, x0, 0, 0.0, node)
     for node in range(n):
         duration = config.compute_time.sample(rng_time) * scale[node]
         schedule(duration, COMPUTE_DONE, node, None)
@@ -328,16 +344,10 @@ def run_sync_baseline(config: SimConfig) -> RunResult:
     """Lock-step mini-batch SGD on one shared model.  Every round waits
     for the slowest of the n compute draws, then applies the averaged
     gradient once; idle time lost to stragglers is thereby priced in."""
-    config.validate()
+    x0, scale, rng_time = _start(config)
     n = config.n
     obj = config.objective
     eta = config.eta
-    x0 = np.array(
-        obj.default_start() if config.start is None else config.start,
-        dtype=float,
-    )
-    scale = tuple(config.compute_scale) if config.compute_scale else (1.0,) * n
-    rng_time = _timing_rng(config.seed)
     rounds = config.samples_per_node
 
     ledger = StalenessLedger(1)
@@ -347,20 +357,7 @@ def run_sync_baseline(config: SimConfig) -> RunResult:
     rows: list[TraceRow] = []
     staleness_log: list = []
 
-    def metrics(t_new, rec):
-        if t_new % config.metric_stride and t_new != rounds:
-            return
-        try:
-            loss = obj.loss(x)
-            grad = obj.full_gradient(x)
-            gsq = float(grad @ grad)
-        except FloatingPointError:
-            raise DivergenceError(0, t_new, now, eta) from None
-        if not np.isfinite(gsq):
-            raise DivergenceError(0, t_new, now, eta)
-        rows.append(TraceRow(t_new, now, 0, loss, gsq, rec.tight_size, rec.loose_size))
-
-    metrics(0, StalenessRecord(0, 0, 0, 0, 0, 0))
+    _log_metrics(rows, config, rounds, 0, x, 0, 0.0, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(rounds):
             durations = [
@@ -377,10 +374,10 @@ def run_sync_baseline(config: SimConfig) -> RunResult:
             table.add(ident, averaged)
             rec = ledger.record_application(0, ident)
             x -= eta * averaged
-            if not np.all(np.isfinite(x)):
-                raise DivergenceError(0, r + 1, now, eta)
+            _check_finite(x, 0, r + 1, now, eta)
             staleness_log.append((now, rec))
-            metrics(r + 1, rec)
+            _log_metrics(rows, config, rounds, 0, x, r + 1, now, 0,
+                         rec.tight_size, rec.loose_size)
 
     return RunResult(
         mode="sync",
@@ -409,16 +406,11 @@ def run_centralized_asgd(config: SimConfig) -> RunResult:
     independent code paths: a counter subtraction and an actual symmetric
     difference of identity sets.
     """
-    config.validate()
+    x0, scale, rng_time = _start(config)
     n = config.n
     obj = config.objective
     eta = config.eta
-    x0 = np.array(
-        obj.default_start() if config.start is None else config.start,
-        dtype=float,
-    )
-    scale = tuple(config.compute_scale) if config.compute_scale else (1.0,) * n
-    rng_time = _timing_rng(config.seed)
+    last_t = n * config.samples_per_node
 
     table = GradientTable()
     server = x0.copy()
@@ -443,29 +435,12 @@ def run_centralized_asgd(config: SimConfig) -> RunResult:
         heapq.heappush(heap, (start_time + duration + delay, seq, worker))
         seq += 1
 
-    def metrics(t_new, now, rec):
-        if t_new % config.metric_stride and t_new != n * config.samples_per_node:
-            return
-        try:
-            loss = obj.loss(server)
-            grad = obj.full_gradient(server)
-            gsq = float(grad @ grad)
-        except FloatingPointError:
-            raise DivergenceError(-1, t_new, now, eta) from None
-        if not np.isfinite(gsq):
-            raise DivergenceError(-1, t_new, now, eta)
-        rows.append(
-            TraceRow(t_new, now, rec.producer, loss, gsq,
-                     rec.tight_size, rec.loose_size)
-        )
-
-    metrics(0, 0.0, StalenessRecord(-1, 0, 0, 0, 0, 0))
+    # Rows carry the pushing worker (0 at t=0); divergence is the server's.
+    _log_metrics(rows, config, last_t, -1, server, 0, 0.0, 0)
     for worker in range(n):
         push_arrival(worker, 0.0)
 
     now = 0.0
-    tight_sum = 0
-    tight_max = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while heap:
             now, _, worker = heapq.heappop(heap)
@@ -480,8 +455,7 @@ def run_centralized_asgd(config: SimConfig) -> RunResult:
             diff = len(server_set ^ fetched_set[worker])
             delay_pairs.append((delay, diff))
             server -= eta * np.asarray(vector, dtype=float)
-            if not np.all(np.isfinite(server)):
-                raise DivergenceError(-1, update_count + 1, now, eta)
+            _check_finite(server, -1, update_count + 1, now, eta)
             table.add(ident, np.asarray(vector, dtype=float))
             server_set.add(ident)
             update_count += 1
@@ -494,9 +468,8 @@ def run_centralized_asgd(config: SimConfig) -> RunResult:
                 loose_size=diff,
             )
             staleness_log.append((now, rec))
-            tight_sum += diff
-            tight_max = max(tight_max, diff)
-            metrics(update_count, now, rec)
+            _log_metrics(rows, config, last_t, -1, server, update_count, now,
+                         worker, diff, diff)
             pushes_done[worker] = step + 1
             fetched_params[worker] = server.copy()
             fetched_set[worker] = frozenset(server_set)
@@ -504,15 +477,6 @@ def run_centralized_asgd(config: SimConfig) -> RunResult:
             if pushes_done[worker] < config.samples_per_node:
                 push_arrival(worker, now)
 
-    n_events = len(staleness_log)
-    summary = StalenessSummary(
-        tight_avg=tight_sum / n_events if n_events else 0.0,
-        tight_max=tight_max,
-        loose_avg=tight_sum / n_events if n_events else 0.0,
-        loose_max=tight_max,
-        n_events=n_events,
-        n_foreign=n_events,
-    )
     return RunResult(
         mode="centralized_asgd",
         config=config,
@@ -524,6 +488,10 @@ def run_centralized_asgd(config: SimConfig) -> RunResult:
         final_models=server[np.newaxis, :],
         total_time=now,
         gradients_computed=update_count,
-        summary=summary,
+        # Every record has applier -1, so the worst-node average is the
+        # global one.
+        summary=summarize_applications(
+            (r.applier, r.producer, r.tight_size, r.loose_size)
+            for _, r in staleness_log),
         delay_pairs=delay_pairs,
     )

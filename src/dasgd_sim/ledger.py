@@ -77,6 +77,39 @@ class StalenessSummary:
     n_foreign: int       # applications of gradients produced elsewhere
 
 
+def summarize_applications(events: Iterable[tuple]) -> StalenessSummary:
+    """Aggregate (applier, producer, tight, loose) application events.
+
+    Averages are taken per applier over applications of gradients
+    produced elsewhere, then the worst applier is reported.
+    Self-applications always measure zero and say nothing about drift
+    between distinct models, so they dilute the average and are left out
+    of it; they still participate in the maxima and the event count.  An
+    applier that only ever applied its own gradients averages zero, as
+    does an empty event stream.  Appliers are keys, not indices, so a
+    parameter server's applier -1 is one more applier.
+    """
+    sums: dict = {}      # applier -> [tight sum, loose sum, foreign count]
+    tight_max = loose_max = n_events = 0
+    for applier, producer, tight, loose in events:
+        n_events += 1
+        tight_max = max(tight_max, tight)
+        loose_max = max(loose_max, loose)
+        if applier != producer:
+            acc = sums.setdefault(applier, [0, 0, 0])
+            acc[0] += tight
+            acc[1] += loose
+            acc[2] += 1
+    return StalenessSummary(
+        tight_avg=max((t / c for t, _, c in sums.values()), default=0.0),
+        tight_max=tight_max,
+        loose_avg=max((s / c for _, s, c in sums.values()), default=0.0),
+        loose_max=loose_max,
+        n_events=n_events,
+        n_foreign=sum(c for _, _, c in sums.values()),
+    )
+
+
 def tight_staleness(first: frozenset, second: frozenset) -> frozenset:
     """Symmetric difference between two applied-gradient sets."""
     return frozenset(first ^ second)
@@ -296,48 +329,12 @@ class StalenessLedger:
         return self._kernel.node_size(node)
 
     def summarize(self) -> StalenessSummary:
-        """Aggregate the per-event records.
-
-        Averages are taken per node over applications of gradients
-        produced elsewhere, then the worst node is reported.
-        Self-applications always measure zero and say nothing about drift
-        between distinct models, so they dilute the average and are left
-        out of it; they still participate in the maxima and the event
-        count.  A node that only ever applied its own gradients averages
-        zero.
-        """
+        """Aggregate the per-event records with `summarize_applications`."""
         if not self._records:
             raise ValueError("no applications recorded")
-        n = self.n_nodes
-        tight_sum = [0] * n
-        loose_sum = [0] * n
-        foreign = [0] * n
-        tight_max = 0
-        loose_max = 0
-        n_foreign = 0
-        for rec in self._records:
-            tight_max = max(tight_max, rec.tight_size)
-            loose_max = max(loose_max, rec.loose_size)
-            if rec.is_self:
-                continue
-            tight_sum[rec.applier] += rec.tight_size
-            loose_sum[rec.applier] += rec.loose_size
-            foreign[rec.applier] += 1
-            n_foreign += 1
-        tight_avg = max(
-            tight_sum[i] / foreign[i] if foreign[i] else 0.0 for i in range(n)
-        )
-        loose_avg = max(
-            loose_sum[i] / foreign[i] if foreign[i] else 0.0 for i in range(n)
-        )
-        return StalenessSummary(
-            tight_avg=tight_avg,
-            tight_max=tight_max,
-            loose_avg=loose_avg,
-            loose_max=loose_max,
-            n_events=len(self._records),
-            n_foreign=n_foreign,
-        )
+        return summarize_applications(
+            (r.applier, r.producer, r.tight_size, r.loose_size)
+            for r in self._records)
 
     # Event-log export/import.  Line format:
     #   COMPUTE node step

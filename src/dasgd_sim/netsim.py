@@ -183,7 +183,6 @@ class InFlightMessage:
     sender: int
     to: int
     deliver_at: float
-    seq: int             # creation order, for deterministic tie-breaks
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,6 @@ class Network:
         self.topology = topology
         self.latency = latency
         self._seen = [set() for _ in range(topology.n)]
-        self._next_seq = 0
         self.sent_count = 0
         self.duplicate_count = 0
         self.elided_count = 0
@@ -218,8 +216,7 @@ class Network:
                 if deliver_at > self.elided_until:
                     self.elided_until = deliver_at
                 continue
-            out.append(InFlightMessage(gid, node, to, deliver_at, self._next_seq))
-            self._next_seq += 1
+            out.append(InFlightMessage(gid, node, to, deliver_at))
         self.sent_count += len(out)
         return out
 

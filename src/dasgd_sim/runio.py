@@ -17,6 +17,7 @@ configuration and seed produce byte-identical files.
 from __future__ import annotations
 
 import os
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -286,12 +287,19 @@ def read_staleness(path: str) -> list:
 
 
 def _read_arrays(path: str, names: tuple) -> tuple:
-    with np.load(path) as data:
-        missing = [key for key in names if key not in data.files]
-        if missing:
-            raise ValueError(f"{os.path.basename(path)} has no "
-                             f"{', '.join(missing)} array")
-        return tuple(data[key] for key in names)
+    """The named arrays of an .npz archive.  A missing array, or a file
+    numpy cannot read as an archive (truncated, empty, not a zip), is a
+    ValueError that names the file."""
+    name = os.path.basename(path)
+    try:
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in names if key in data.files}
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise ValueError(f"{name} is not a readable archive ({exc})") from None
+    missing = [key for key in names if key not in arrays]
+    if missing:
+        raise ValueError(f"{name} has no {', '.join(missing)} array")
+    return tuple(arrays[key] for key in names)
 
 
 def read_gradients(path: str):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -101,6 +101,18 @@ class BoundInputs:
         _require(self.loose_max >= self.loose_avg,
                  f"loose_max must be >= loose_avg, got "
                  f"loose_max={self.loose_max} < loose_avg={self.loose_avg}")
+
+
+def running_psi(grad_norm_sq: Iterable[float]) -> list:
+    """psi at every logged step: the running average of the squared
+    gradient norms up to and including it, the quantity the rate
+    ceilings bound."""
+    out = []
+    acc = 0.0
+    for k, value in enumerate(grad_norm_sq, start=1):
+        acc += value
+        out.append(acc / k)
+    return out
 
 
 # Slack for stepsizes set exactly at the rule via float arithmetic.

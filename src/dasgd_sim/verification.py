@@ -16,9 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from dasgd_sim import runio
-from dasgd_sim.ledger import GradientId
+from dasgd_sim.ledger import GradientId, summarize_applications
 from dasgd_sim.oracle import check_log, replay_brute_force
-from dasgd_sim.theory import rate_bound_bounded_gradients, run_ceiling_inputs
+from dasgd_sim.theory import (
+    rate_bound_bounded_gradients,
+    run_ceiling_inputs,
+    running_psi,
+)
 
 REQUIRED_FILES = ("trace.csv", "staleness.csv", "manifest.txt",
                   "gradients.npz", "models.npz", "summary.txt")
@@ -48,6 +52,8 @@ def _load(run_dir):
     if missing:
         raise MissingRunFiles(run_dir, missing)
     digest, config = runio.read_manifest(os.path.join(run_dir, "manifest.txt"))
+    if digest != config.digest():
+        raise ValueError("manifest.txt digest does not match its configuration")
     trace = runio.read_trace(os.path.join(run_dir, "trace.csv"))
     if not trace:
         # Every run logs each node's start point, so rows are never absent.
@@ -56,6 +62,13 @@ def _load(run_dir):
     producers, steps, vectors = runio.read_gradients(
         os.path.join(run_dir, "gradients.npz"))
     x0, finals = runio.read_models(os.path.join(run_dir, "models.npz"))
+    # numpy would broadcast a mismatched archive into plausible numbers.
+    if not (x0.ndim == 1 and vectors.shape[1:] == x0.shape == finals.shape[1:]
+            and producers.shape == steps.shape == vectors.shape[:1]):
+        raise ValueError(
+            f"gradients.npz and models.npz disagree on shape: producers "
+            f"{producers.shape}, steps {steps.shape}, vectors "
+            f"{vectors.shape}, x0 {x0.shape}, finals {finals.shape}")
     events_path = os.path.join(run_dir, "events.log")
     events = None
     if os.path.exists(events_path):
@@ -137,18 +150,6 @@ def _check_oracle(config, staleness, events, replay):
                        f"{len(staleness)} events match the brute-force replay")
 
 
-def _staleness_stats(staleness):
-    """Worst-node foreign average and global maximum from csv rows."""
-    by_node: dict = {}
-    tight_max = 0
-    for row in staleness:
-        tight_max = max(tight_max, row["tight"])
-        if row["producer"] != row["applier"]:
-            by_node.setdefault(row["applier"], []).append(row["tight"])
-    avg = max((sum(v) / len(v) for v in by_node.values()), default=0.0)
-    return avg, tight_max
-
-
 def _check_rate_bound(config, trace, staleness, gradients, models):
     if config.objective_kind != "quadratic":
         return CheckResult("rate-bound", "skip",
@@ -159,8 +160,10 @@ def _check_rate_bound(config, trace, staleness, gradients, models):
     if config.metric_stride != 1:
         return CheckResult("rate-bound", "skip",
                            "metric stride thins the trace")
-    tight_avg, tight_max = _staleness_stats(staleness)
-    if tight_avg == 0.0:
+    summary = summarize_applications(
+        (row["applier"], row["producer"], row["tight"], row["loose"])
+        for row in staleness)
+    if summary.tight_avg == 0.0:
         return CheckResult("rate-bound", "skip",
                            "zero measured staleness degenerates the ceiling")
     obj = config.build_objective()
@@ -168,7 +171,7 @@ def _check_rate_bound(config, trace, staleness, gradients, models):
     eta = trace[0]["eta"]
     inputs, rule = run_ceiling_inputs(
         obj.lipschitz_constant(), obj.loss(x0) - obj.min_value(), eta,
-        gradients[2], tight_avg, tight_max)
+        gradients[2], summary.tight_avg, summary.tight_max)
     if inputs is None:
         return CheckResult("rate-bound", "skip",
                            f"eta {eta:.6g} above the stepsize rule {rule:.6g}")
@@ -177,10 +180,7 @@ def _check_rate_bound(config, trace, staleness, gradients, models):
     for node in sorted({row["node"] for row in trace}):
         rows = sorted((r for r in trace if r["node"] == node),
                       key=lambda r: r["t"])
-        acc = 0.0
-        for k, row in enumerate(rows):
-            acc += row["grad_norm_sq"]
-            psi = acc / (k + 1)
+        for row, psi in zip(rows, running_psi(r["grad_norm_sq"] for r in rows)):
             bound = rate_bound_bounded_gradients(inputs, row["t"])
             checked += 1
             worst_margin = min(worst_margin, bound - psi)

@@ -283,6 +283,25 @@ def drop_vectors(path):
     np.savez(path, producers=producers, steps=steps)
 
 
+def cut_to(size):
+    def damage(path):
+        with open(path, "r+b") as fh:
+            fh.truncate(size)
+    return damage
+
+
+def one_column_vectors(path):
+    producers, steps, vectors = runio.read_gradients(path)
+    np.savez(path, producers=producers, steps=steps, vectors=vectors[:, :1])
+
+
+def edit_manifest_n(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text.replace("\nn = 3\n", "\nn = 4\n"))
+
+
 # case -> (file, damage, message after "unreadable run directory: ")
 DAMAGED_FILES = {
     "header_only_trace": ("trace.csv", keep_header, "trace.csv has no rows"),
@@ -292,6 +311,19 @@ DAMAGED_FILES = {
                             "staleness.csv line 2: 6 fields, header has 8"),
     "no_vectors_array": ("gradients.npz", drop_vectors,
                          "gradients.npz has no vectors array"),
+    "truncated_gradients": ("gradients.npz", cut_to(100),
+                            "gradients.npz is not a readable archive "
+                            "(File is not a zip file)"),
+    "empty_gradients": ("gradients.npz", cut_to(0),
+                        "gradients.npz is not a readable archive "
+                        "(No data left in file)"),
+    "one_column_vectors": ("gradients.npz", one_column_vectors,
+                           "gradients.npz and models.npz disagree on shape: "
+                           "producers (90,), steps (90,), vectors (90, 1), "
+                           "x0 (4,), finals (3, 4)"),
+    "edited_manifest": ("manifest.txt", edit_manifest_n,
+                        "manifest.txt digest does not match its "
+                        "configuration"),
 }
 
 

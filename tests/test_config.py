@@ -196,7 +196,7 @@ def test_build_objective_logistic_synthetic():
 
 def test_sim_config_carries_fields_through():
     cfg = ExperimentConfig.parse(FULL_TEXT)
-    sim = cfg.sim_config(eta=0.005, replica=1)
+    sim = cfg.for_replica(1).sim_config(eta=0.005)
     assert sim.eta == 0.005
     assert sim.seed == 12
     assert sim.samples_per_node == 40

@@ -118,19 +118,94 @@ GOLDEN = {
 }
 
 
+# Baselines without flooding, pinned before their runners shared the
+# start-up, metric and divergence helpers with `run`.  Noisy lock-step
+# rounds with a straggler; a parameter server whose eta the pilot picks.
+SYNC_NOISY = """\
+[run]
+mode = sync
+seed = 7
+samples_per_node = 25
+
+[objective]
+dim = 1
+condition = 4.0
+sigma = 0.3
+
+[topology]
+kind = fully_connected
+n = 4
+
+[timing]
+compute = uniform:0.8:1.2
+compute_scale = 1,1,1,3
+
+[sgd]
+eta = 0.02
+"""
+
+CENTRALIZED_PILOT = """\
+[run]
+mode = centralized_asgd
+seed = 6
+samples_per_node = 25
+
+[objective]
+dim = 1
+condition = 4.0
+
+[topology]
+kind = fully_connected
+n = 5
+
+[timing]
+compute = uniform:0.8:1.2
+latency = exponential:0.3
+compute_scale = 1,1,1,1,2
+"""
+
+# sha256 of every file, summary.txt included whole.
+BASELINE_GOLDEN = {
+    "sync_noisy": (SYNC_NOISY, {
+        "events.log": "31a8da712d6df1af65296ca11b84300dd013270437c28133193fb673008accbc",
+        "gradients.npz": "d3b77a19c34b5fbbd716ede0bbd2e0c9329b292497ad79aab7a4455b1431748d",
+        "manifest.txt": "7dc320bdb1f911207b44575446e081c3db62328910454d97e27cbc7dde0f9d12",
+        "models.npz": "9c87412be7a118e7537d4e5da1eefad5f2be83e2f3bff60fcd23850877afda07",
+        "staleness.csv": "523f1c695373ad6283e076e586e1f8e35f1bebb743f78b3e13a85a50665ed634",
+        "summary.txt": "833c8a72de3bc7fab17e2ab0f50a4a456cdf413992ef3e74ba2549ce9939452e",
+        "trace.csv": "fed93b7f6fdf5014695cbd7be78eaf28c0b62157360f45bbfe9d21f1cc179500",
+    }),
+    "centralized_pilot": (CENTRALIZED_PILOT, {
+        "gradients.npz": "a951c8ed2b60532299ba0f90b3e74cb4153f08e221e3622662a5ccdd41508878",
+        "manifest.txt": "200ad48c1e17d9e2d6e6450d8ac0d08e672f88b40324020a2e1c7b1516b954e2",
+        "models.npz": "2e379b728e1340617729abab674f1e6ffaae6f757e9d189adfc85d9ef68998c0",
+        "staleness.csv": "a7f1174a9ad9c0b4254de5a95755935eb895156702d47f2bfea8e3fd0d114749",
+        "summary.txt": "69dec50ac3ed66e1482c1168eb6c8ecd25c68b51346350cb4fefce2705d5a847",
+        "trace.csv": "39ca19a17eb0452c6b5b4b410095464621c97cebf50aa4b48b351eee175f6b0a",
+    }),
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_run_directory_matches_full_flooding(tmp_path, capsys, name):
-    text, digests = GOLDEN[name]
+def run_into(tmp_path, capsys, text, digests):
+    """Run the config; return its directory, checked to hold exactly the
+    pinned files."""
     cfg = tmp_path / "exp.ini"
     cfg.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
     assert sorted(os.listdir(out)) == sorted(digests)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_directory_matches_full_flooding(tmp_path, capsys, name):
+    text, digests = GOLDEN[name]
+    out = run_into(tmp_path, capsys, text, digests)
     for fname, digest in digests.items():
         data = (out / fname).read_bytes()
         if fname == "summary.txt":
@@ -141,6 +216,14 @@ def test_run_directory_matches_full_flooding(tmp_path, capsys, name):
             data = "".join(ln for ln in lines[:-3]
                            if not ln.startswith("kernel: ")).encode("utf-8")
         assert sha256(data) == digest, fname
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_GOLDEN))
+def test_baseline_run_directory_is_pinned(tmp_path, capsys, name):
+    text, digests = BASELINE_GOLDEN[name]
+    out = run_into(tmp_path, capsys, text, digests)
+    for fname, digest in digests.items():
+        assert sha256((out / fname).read_bytes()) == digest, fname
 
 
 def test_flood_counters_conserve_copies_on_complete_graph():

@@ -231,14 +231,26 @@ def test_compute_scale_straggler_still_agrees():
     assert len(own) == 20
 
 
-def test_divergence_reported_with_location():
-    cfg = constant_config(Topology.fully_connected(3), budget=40, eta=1e3)
+# runner -> (node label, step, sim time) of the first non-finite value.
+DIVERGENCE_AT = {
+    run: (0, 115, 39.0),
+    run_sync_baseline: (0, 44, 44.0),
+    run_centralized_asgd: (-1, 129, 43.43),
+}
+
+
+@pytest.mark.parametrize("runner", list(DIVERGENCE_AT),
+                         ids=lambda fn: fn.__name__)
+def test_divergence_reported_with_location(runner):
+    cfg = constant_config(Topology.fully_connected(3), budget=100, eta=1e3)
     with pytest.raises(DivergenceError) as info:
-        run(cfg)
+        runner(cfg)
     err = info.value
+    node, step, sim_time = DIVERGENCE_AT[runner]
     assert err.eta == 1e3
-    assert err.sim_time > 0
-    assert "node" in str(err)
+    assert (err.node, err.step) == (node, step)
+    assert err.sim_time == pytest.approx(sim_time)
+    assert f"at node {node}, step {step}," in str(err)
 
 
 def test_trace_rows_start_at_zero_and_monotone_time():

@@ -115,7 +115,7 @@ def test_origin_marked_seen():
     rng = np.random.default_rng(3)
     net = Network(Topology.ring(3), TimeDistribution.constant(1.0))
     net.disseminate(0, gid=0, now=0.0, rng=rng)
-    echo = InFlightMessage(gid=0, sender=2, to=0, deliver_at=5.0, seq=99)
+    echo = InFlightMessage(gid=0, sender=2, to=0, deliver_at=5.0)
     assert net.on_receive(0, echo) == "duplicate"
 
 

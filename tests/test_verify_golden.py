@@ -1,9 +1,11 @@
 """`verify` output pinned byte for byte, and the work one `verify` does.
 
 The expected stdout below was taken from `verify` when each check still
-made its own brute-force replay of the event log; sharing one replay
-must not change a character.  The objectives are one-dimensional so
-that no LAPACK routine feeds the pinned bytes.
+made its own brute-force replay of the event log, and the centralized
+and empty-staleness cases before the staleness summary and psi had one
+definition each; sharing that code must not change a character.  The
+objectives are one-dimensional so that no LAPACK routine feeds the
+pinned bytes.
 """
 
 import os
@@ -55,6 +57,31 @@ n = 3
 eta = 0.01
 """
 
+# A parameter server: no event log, so only the agreement and rate-bound
+# checks apply, and the rate bound reads the worst-node staleness average
+# and the running psi of every worker's trace rows.
+CENTRALIZED = """\
+[run]
+mode = centralized_asgd
+seed = 4
+samples_per_node = 25
+
+[objective]
+dim = 1
+condition = 4.0
+
+[topology]
+kind = fully_connected
+n = 5
+
+[timing]
+compute = uniform:0.8:1.2
+latency = exponential:0.3
+
+[sgd]
+eta = 0.01
+"""
+
 
 def bump_first_foreign_tight(out):
     """Add one to the tight size of the first foreign application."""
@@ -71,7 +98,24 @@ def bump_first_foreign_tight(out):
         fh.write("\n".join(lines) + "\n")
 
 
+def empty_staleness(out):
+    """Keep only the header of staleness.csv."""
+    path = os.path.join(out, "staleness.csv")
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header)
+
+
 GOLDEN = {
+    "centralized": (CENTRALIZED, None, 0, (
+        "PASS final-agreement: 1 model(s) within 0.00e+00, "
+        "rebuild within 3.77e-17\n"
+        "SKIP staleness-oracle: no peer event log for this mode\n"
+        "PASS rate-bound: 126 logged points under the ceiling "
+        "(min margin 2.71)\n"
+        "SKIP descent-step: no peer event log for this mode\n"
+    )),
     "fc_exponential": (FC_EXPONENTIAL, None, 0, (
         "PASS final-agreement: 5 model(s) within 7.03e-18, "
         "rebuild within 4.80e-16\n"
@@ -86,6 +130,13 @@ GOLDEN = {
         "PASS staleness-oracle: 270 events match the brute-force replay\n"
         "PASS rate-bound: 273 logged points under the ceiling "
         "(min margin 8.67)\n"
+        "PASS descent-step: inequality held at 270/270 events\n"
+    )),
+    "small_empty_staleness": (SMALL, empty_staleness, 1, (
+        "PASS final-agreement: 3 model(s) within 0.00e+00, "
+        "rebuild within 7.22e-16\n"
+        "FAIL staleness-oracle: csv has 0 events, log has 270\n"
+        "SKIP rate-bound: zero measured staleness degenerates the ceiling\n"
         "PASS descent-step: inequality held at 270/270 events\n"
     )),
     "small_tampered_staleness": (SMALL, bump_first_foreign_tight, 1, (
