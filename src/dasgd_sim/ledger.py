@@ -24,8 +24,7 @@ point.  Loose is never smaller than tight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Union
-
+from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 
 class GradientId(NamedTuple):
@@ -36,8 +35,7 @@ class GradientId(NamedTuple):
     are unique within a run: a node applies its own gradient before it can
     finish another one, so its set grows between computations.
 
-    A tuple, so equality and hashing run in C: the oracle's frozenset
-    comparisons call them millions of times per audit.  The hash is
+    A tuple, so equality and hashing run in C.  The hash is
     hash((producer, step)), sorting is by (producer, step) and instances
     are immutable.
     """
@@ -108,42 +106,6 @@ def summarize_applications(events: Iterable[tuple]) -> StalenessSummary:
         n_events=n_events,
         n_foreign=sum(c for _, _, c in sums.values()),
     )
-
-
-def tight_staleness(first: frozenset, second: frozenset) -> frozenset:
-    """Symmetric difference between two applied-gradient sets."""
-    return frozenset(first ^ second)
-
-
-def loose_staleness(
-    snapshots: Mapping[GradientId, frozenset],
-    applied: frozenset,
-    producer_set: frozenset,
-) -> frozenset:
-    """Least fixed point of the recursive enlargement.
-
-    Beyond the plain symmetric difference, every gradient in
-    `producer_set` that the applier has not seen contributes the
-    difference between `applied` and that gradient's own snapshot, and the
-    unseen gradients of those snapshots recurse in turn.  Each gradient is
-    expanded once; snapshots only reference earlier gradients, so the walk
-    terminates.
-    """
-    result = set(applied ^ producer_set)
-    frontier = list(producer_set - applied)
-    seen = set(frontier)
-    while frontier:
-        gid = frontier.pop()
-        try:
-            snap = snapshots[gid]
-        except KeyError:
-            raise ValueError(f"no snapshot recorded for {gid}") from None
-        result |= applied ^ snap
-        for g in snap - applied:
-            if g not in seen:
-                seen.add(g)
-                frontier.append(g)
-    return frozenset(result)
 
 
 class StalenessKernel:
@@ -355,7 +317,11 @@ class StalenessLedger:
     def replay(cls, lines: Iterable[str], n_nodes: int = None) -> "StalenessLedger":
         """Rebuild a ledger from an exported event log, validating every
         step counter against the reconstructed state."""
-        events = list(parse_event_log(lines))
+        return cls.from_events(list(parse_event_log(lines)), n_nodes)
+
+    @classmethod
+    def from_events(cls, events: list, n_nodes: int = None) -> "StalenessLedger":
+        """`replay` over events `parse_event_log` already produced."""
         if n_nodes is None:
             n_nodes = 1 + max((ev[1] for _, ev in events), default=0)
         ledger = cls(n_nodes)

@@ -73,6 +73,23 @@ class QuadraticObjective:
     def full_gradient(self, x):
         return self.matrix @ (self._check(x) - self.offset)
 
+    def losses_and_gradients(self, points):
+        """`loss` and `full_gradient` at every row of `points`, bit for bit
+        what the one-point methods give.  A non-finite loss is returned
+        rather than raised, so the caller decides which one counts."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise ValueError(
+                f"expected rows of dimension {self.dim}, got {points.shape}")
+        r = points - self.offset
+        # Stacked products make one BLAS matrix-vector and one dot call
+        # per row, the calls the one-point methods make; a single matrix
+        # product would sum in another order.
+        grads = (self.matrix @ r[:, :, None])[:, :, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            losses = 0.5 * (r[:, None, :] @ grads[:, :, None])[:, 0, 0]
+        return losses, grads
+
     def stochastic_gradient(self, x, seed: int):
         g = self.full_gradient(x)
         if self.noise_sigma == 0.0:

@@ -1,16 +1,25 @@
 """Brute-force staleness recomputation for cross-checking the ledger.
 
-Replays an event log with plain frozensets and recomputes every staleness
-value from scratch.  The loose measure here is evaluated by repeatedly
-substituting its defining recursion until no term set grows, deliberately
-not sharing the ledger kernel's id-level frontier walk or its bitset
-representation, so agreement between the two routes is meaningful.
+Replays an event log over dense boolean rows and recomputes every
+staleness value from the rows alone.  The replay deliberately shares
+nothing with the ledger kernel but the event parser: the kernel keeps
+Python-int bitsets in creation order and chases its loose fixed point
+one id at a time, while this replay keeps one numpy bool row per
+gradient in sorted (producer, step) order, expands the whole unseen
+frontier of the snapshot graph per step, and forms the loose set from
+the union and intersection of the snapshots it reached.  Agreement
+between the two routes is therefore meaningful.
+
+Snapshot rows take G^2 bytes for G gradients (5.8 MB at G = 2,400);
+tight memberships are kept as one index array, never as sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Optional
+
+import numpy as np
 
 from dasgd_sim.ledger import (
     EventLogError,
@@ -20,107 +29,118 @@ from dasgd_sim.ledger import (
 )
 
 
-def naive_loose_staleness(
-    snapshots: dict[GradientId, frozenset],
-    applied: frozenset,
-    producer_set: frozenset,
-) -> frozenset:
-    """Literal expansion of the loose-staleness recursion.
+class DenseReplay:
+    """Replay of a parsed event log over dense boolean rows.
 
-    Maintains the collection of producer-side sets the definition compares
-    against, substituting snapshots of unseen gradients until the
-    collection stops changing, then unions all the differences in one
-    final pass.
+    `ids` holds every computed gradient in sorted order, and column j of
+    `applied` (one row per node, the final sets) and `snapshots` (one row
+    per gradient, its producer's set at creation) stands for `ids[j]`.
+    Per application, in log order, the int arrays `line_no`, `applier`,
+    `applier_step`, `column` (the gradient applied), `tight` and `loose`
+    (sizes) hold one entry each.  The tight set of application k is
+    `tight_idx[tight_ptr[k]:tight_ptr[k + 1]]`, ascending columns.
+
+    The loose set of an application by a node with set A of a gradient
+    with snapshot S is the union of A ^ T over the snapshots T reached
+    from S through gradients A has not applied, which is
+    (A minus the intersection of all T) | (the union of all T minus A).
+    When S is a subset of A nothing is reached and loose equals tight.
     """
-    terms = {producer_set}
-    unexpanded = [producer_set]
-    while unexpanded:
-        term = unexpanded.pop()
-        for g in term - applied:
-            snap = snapshots[g]
-            if snap not in terms:
-                terms.add(snap)
-                unexpanded.append(snap)
-    result = set()
-    for term in terms:
-        result |= applied ^ term
-    return frozenset(result)
 
-
-@dataclass(frozen=True)
-class OracleRecord:
-    line_no: int
-    applier: int
-    applier_step: int
-    producer: int
-    producer_step: int
-    tight: frozenset
-    loose: frozenset
-
-
-class BruteForceReplay:
-    """Frozenset-based replay of an event log.  No incremental staleness
-    state: each application event is measured by full set operations."""
-
-    def __init__(self, n_nodes: int):
+    def __init__(self, events: list, n_nodes: int = None):
+        if n_nodes is None:
+            n_nodes = 1 + max((ev[1] for _, ev in events), default=0)
+        self.events = events
         self.n_nodes = n_nodes
-        self.applied: list[frozenset] = [frozenset() for _ in range(n_nodes)]
-        self.snapshots: dict[GradientId, frozenset] = {}
-        self.records: list[OracleRecord] = []
+        self.ids = sorted({GradientId(ev[1], ev[2])
+                           for _, ev in events if ev[0] == "compute"})
+        column = {ident: j for j, ident in enumerate(self.ids)}
+        self.applied = np.zeros((n_nodes, len(self.ids)), dtype=bool)
+        self.snapshots = np.zeros((len(self.ids), len(self.ids)), dtype=bool)
+        computed = [False] * len(self.ids)
+        steps = [0] * n_nodes
+        records = []     # (line_no, applier, applier_step, column, tight, loose)
+        # Tight columns of every application, in the narrowest index type.
+        members = np.empty(1024, np.min_scalar_type(max(len(self.ids) - 1, 0)))
+        used = 0
+        for line_no, ev in events:
+            kind, node, step = ev[0], ev[1], ev[2]
+            if step != steps[node]:
+                raise EventLogError(
+                    line_no,
+                    f"{kind.upper()} step {step} does not match node {node} "
+                    f"at step {steps[node]}",
+                )
+            row = self.applied[node]
+            if kind == "compute":
+                col = column[GradientId(node, step)]
+                if computed[col]:
+                    raise EventLogError(
+                        line_no, f"{GradientId(node, step)} computed twice")
+                computed[col] = True
+                self.snapshots[col] = row
+                continue
+            ident = GradientId(ev[3], ev[4])
+            col = column.get(ident)
+            if col is None or not computed[col]:
+                raise EventLogError(line_no, f"{ident} was never computed")
+            if row[col]:
+                raise EventLogError(
+                    line_no, f"{ident} applied twice by node {node}")
+            snap = self.snapshots[col]
+            tight = (row ^ snap).nonzero()[0]
+            # Step counters are set sizes (validated above and at the
+            # gradient's COMPUTE), so |S - A| = (|A ^ S| + |S| - |A|) / 2
+            # and the snapshot has unseen gradients exactly when it is
+            # nonzero.
+            if len(tight) + ident.step - step:
+                loose = self._loose_size(row, snap)
+            else:
+                loose = len(tight)
+            records.append((line_no, node, step, col, len(tight), loose))
+            if used + len(tight) > len(members):
+                members = np.resize(members, 2 * (used + len(tight)))
+            members[used:used + len(tight)] = tight
+            used += len(tight)
+            row[col] = True
+            steps[node] += 1
+        (self.line_no, self.applier, self.applier_step, self.column,
+         self.tight, self.loose) = np.array(
+            records, dtype=np.int64).reshape(-1, 6).T
+        self.tight_ptr = np.zeros(len(records) + 1, dtype=np.int64)
+        np.cumsum(self.tight, out=self.tight_ptr[1:])
+        self.tight_idx = members[:used].copy()
 
-    def compute(self, line_no: int, node: int, step: int) -> None:
-        if step != len(self.applied[node]):
-            raise EventLogError(
-                line_no,
-                f"COMPUTE step {step} does not match node {node} "
-                f"at step {len(self.applied[node])}",
-            )
-        ident = GradientId(node, step)
-        if ident in self.snapshots:
-            raise EventLogError(line_no, f"{ident} computed twice")
-        self.snapshots[ident] = self.applied[node]
+    def _loose_size(self, row, snap) -> int:
+        """Expand the frontier of unseen gradients level by level: one
+        step reaches every unseen gradient in the snapshots of the whole
+        previous level, and folds those snapshots into the union and
+        intersection of the reached terms."""
+        union = inter = snap
+        known = row | snap          # applied or already reached
+        frontier = (snap > row).nonzero()[0]
+        while len(frontier):
+            terms = self.snapshots[frontier]
+            union = union | np.logical_or.reduce(terms)
+            inter = inter & np.logical_and.reduce(terms)
+            fresh = union > known
+            known |= fresh
+            frontier = fresh.nonzero()[0]
+        return int(np.count_nonzero(row > inter)
+                   + np.count_nonzero(union > row))
 
-    def apply(
-        self, line_no: int, node: int, step: int, producer: int, pstep: int
-    ) -> OracleRecord:
-        if step != len(self.applied[node]):
-            raise EventLogError(
-                line_no,
-                f"APPLY step {step} does not match node {node} "
-                f"at step {len(self.applied[node])}",
-            )
-        ident = GradientId(producer, pstep)
-        snap = self.snapshots.get(ident)
-        if snap is None:
-            raise EventLogError(line_no, f"{ident} was never computed")
-        before = self.applied[node]
-        if ident in before:
-            raise EventLogError(line_no, f"{ident} applied twice by node {node}")
-        record = OracleRecord(
-            line_no=line_no,
-            applier=node,
-            applier_step=step,
-            producer=producer,
-            producer_step=pstep,
-            tight=before ^ snap,
-            loose=naive_loose_staleness(self.snapshots, before, snap),
-        )
-        self.records.append(record)
-        self.applied[node] = before | {ident}
-        return record
+    @property
+    def n_applications(self) -> int:
+        return len(self.tight)
+
+    def applied_set(self, node: int) -> frozenset:
+        return frozenset(self.ids[j]
+                         for j in np.flatnonzero(self.applied[node]))
 
 
-def replay_brute_force(lines: Iterable[str], n_nodes: int = None) -> BruteForceReplay:
-    events = list(parse_event_log(lines))
-    if n_nodes is None:
-        n_nodes = 1 + max((ev[1] for _, ev in events), default=0)
-    replay = BruteForceReplay(n_nodes)
-    for line_no, ev in events:
-        if ev[0] == "compute":
-            replay.compute(line_no, ev[1], ev[2])
-        else:
-            replay.apply(line_no, ev[1], ev[2], ev[3], ev[4])
-    return replay
+def replay_brute_force(lines: Iterable[str], n_nodes: int = None) -> DenseReplay:
+    """Parse an event log and replay it with `DenseReplay`."""
+    return DenseReplay(list(parse_event_log(lines)), n_nodes)
 
 
 @dataclass(frozen=True)
@@ -153,35 +173,38 @@ class OracleReport:
 
 
 def check_log(lines: Iterable[str],
-              brute: Optional[BruteForceReplay] = None) -> OracleReport:
+              brute: Optional[DenseReplay] = None) -> OracleReport:
     """Replay a log through both routes and diff every staleness value.
 
     `brute` is this log's brute-force replay when the caller already has
-    one; otherwise it is made here.  Each route parses the log once.
+    one, and the ledger then replays the events it parsed; otherwise the
+    log is parsed here and both routes replay it, the ledger first.
     """
-    lines = list(lines)
-    ledger = StalenessLedger.replay(lines)
     if brute is None:
-        brute = replay_brute_force(lines, n_nodes=ledger.n_nodes)
+        events = list(parse_event_log(lines))
+        ledger = StalenessLedger.from_events(events)
+        brute = DenseReplay(events, ledger.n_nodes)
+    else:
+        ledger = StalenessLedger.from_events(brute.events)
     inc = ledger.records
-    if len(inc) != len(brute.records):
+    if len(inc) != brute.n_applications:
         raise EventLogError(0, "replay routes disagree on event count")
+    inc_tight = np.array([rec.tight_size for rec in inc], dtype=np.int64)
+    inc_loose = np.array([rec.loose_size for rec in inc], dtype=np.int64)
     mismatches = []
-    for rec, ref in zip(inc, brute.records):
-        if rec.tight_size != len(ref.tight):
-            mismatches.append(
-                Mismatch(ref.line_no, "tight", rec.tight_size, len(ref.tight))
-            )
-        if rec.loose_size != len(ref.loose):
-            mismatches.append(
-                Mismatch(ref.line_no, "loose", rec.loose_size, len(ref.loose))
-            )
+    for k in np.flatnonzero((inc_tight != brute.tight)
+                            | (inc_loose != brute.loose)):
+        for field, got, want in (("tight", inc_tight, brute.tight),
+                                 ("loose", inc_loose, brute.loose)):
+            if got[k] != want[k]:
+                mismatches.append(Mismatch(int(brute.line_no[k]), field,
+                                           int(got[k]), int(want[k])))
     for node in range(ledger.n_nodes):
-        if ledger.applied_set(node) != brute.applied[node]:
+        if ledger.applied_set(node) != brute.applied_set(node):
             mismatches.append(Mismatch(0, f"final set of node {node}", -1, -1))
     return OracleReport(
-        n_events=len(brute.snapshots) + len(brute.records),
-        n_applications=len(brute.records),
+        n_events=len(brute.events),
+        n_applications=brute.n_applications,
         mismatches=tuple(mismatches),
     )
 

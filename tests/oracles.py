@@ -1,6 +1,18 @@
-"""Shared independent oracles for the test suite."""
+"""Shared independent oracles for the test suite.
+
+Besides numeric references, this holds the literal set-based staleness
+definitions: `tight_staleness`, `loose_staleness` (an id-level fixed
+point), `naive_loose_staleness` (the recursion expanded term by term)
+and `LiteralReplay`, which replays an event log with frozensets.  The
+program's kernel and its dense brute-force replay are checked against
+them.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
+
+from dasgd_sim.ledger import GradientId, parse_event_log
 
 
 def central_difference_gradient(loss, x, h=1e-6):
@@ -20,3 +32,98 @@ def relative_error(got, want):
     want = np.asarray(want, dtype=float)
     scale = max(1.0, float(np.linalg.norm(want)))
     return float(np.linalg.norm(got - want)) / scale
+
+
+def tight_staleness(first: frozenset, second: frozenset) -> frozenset:
+    """Symmetric difference between two applied-gradient sets."""
+    return frozenset(first ^ second)
+
+
+def loose_staleness(snapshots, applied: frozenset,
+                    producer_set: frozenset) -> frozenset:
+    """Least fixed point of the recursive enlargement.
+
+    Beyond the plain symmetric difference, every gradient in
+    `producer_set` that the applier has not seen contributes the
+    difference between `applied` and that gradient's own snapshot, and the
+    unseen gradients of those snapshots recurse in turn.  Each gradient is
+    expanded once; snapshots only reference earlier gradients, so the walk
+    terminates.
+    """
+    result = set(applied ^ producer_set)
+    frontier = list(producer_set - applied)
+    seen = set(frontier)
+    while frontier:
+        gid = frontier.pop()
+        try:
+            snap = snapshots[gid]
+        except KeyError:
+            raise ValueError(f"no snapshot recorded for {gid}") from None
+        result |= applied ^ snap
+        for g in snap - applied:
+            if g not in seen:
+                seen.add(g)
+                frontier.append(g)
+    return frozenset(result)
+
+
+def naive_loose_staleness(snapshots, applied: frozenset,
+                          producer_set: frozenset) -> frozenset:
+    """Literal expansion of the loose-staleness recursion.
+
+    Maintains the collection of producer-side sets the definition compares
+    against, substituting snapshots of unseen gradients until the
+    collection stops changing, then unions all the differences in one
+    final pass.
+    """
+    terms = {producer_set}
+    unexpanded = [producer_set]
+    while unexpanded:
+        term = unexpanded.pop()
+        for g in term - applied:
+            snap = snapshots[g]
+            if snap not in terms:
+                terms.add(snap)
+                unexpanded.append(snap)
+    result = set()
+    for term in terms:
+        result |= applied ^ term
+    return frozenset(result)
+
+
+@dataclass(frozen=True)
+class LiteralRecord:
+    line_no: int
+    applier: int
+    applier_step: int
+    producer: int
+    producer_step: int
+    tight: frozenset
+    loose: frozenset
+
+
+class LiteralReplay:
+    """Frozenset replay of an event log: each application is measured by
+    full set operations and `naive_loose_staleness`, with no incremental
+    state.  Validates nothing; feed it logs that replay cleanly."""
+
+    def __init__(self, lines):
+        events = list(parse_event_log(lines))
+        n_nodes = 1 + max((ev[1] for _, ev in events), default=0)
+        self.applied = [frozenset() for _ in range(n_nodes)]
+        self.snapshots = {}
+        self.records = []
+        for line_no, ev in events:
+            if ev[0] == "compute":
+                self.snapshots[GradientId(ev[1], ev[2])] = self.applied[ev[1]]
+                continue
+            _, node, step, producer, pstep = ev
+            ident = GradientId(producer, pstep)
+            before = self.applied[node]
+            snap = self.snapshots[ident]
+            self.records.append(LiteralRecord(
+                line_no, node, step, producer, pstep,
+                tight=tight_staleness(before, snap),
+                loose=naive_loose_staleness(self.snapshots, before, snap),
+            ))
+            self.applied[node] = before | {ident}

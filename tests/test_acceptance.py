@@ -18,7 +18,7 @@ from dasgd_sim.engine import run, run_centralized_asgd, run_sync_baseline
 from dasgd_sim.ledger import GradientId
 from dasgd_sim.objective import QuadraticObjective, synthetic_logistic_data
 from dasgd_sim.objective import LogisticObjective
-from dasgd_sim.oracle import check_log, random_event_log, replay_brute_force
+from dasgd_sim.oracle import check_log, random_event_log
 from dasgd_sim.theory import (
     BoundInputs,
     iterations_to_target,
@@ -27,6 +27,8 @@ from dasgd_sim.theory import (
     stepsize_bound_loose,
     stepsize_bound_tight,
 )
+
+from oracles import LiteralReplay
 
 PILOT_ETA = 1e-12  # staleness is stepsize-invariant; keeps pilots inert
 
@@ -166,7 +168,7 @@ def test_criterion_05_staleness_oracle_equivalence():
 
 def _descent_violations(cfg, eta):
     """Count per-application failures of the expected-decrease step
-    inequality, using the brute-force log replay as the schedule."""
+    inequality, using the literal frozenset log replay as the schedule."""
     import io
 
     result = run(cfg.sim_config(eta=eta))
@@ -174,7 +176,7 @@ def _descent_violations(cfg, eta):
     lipschitz = objective.lipschitz_constant()
     buffer = io.StringIO()
     result.ledger.export_events(buffer)
-    replay = replay_brute_force(buffer.getvalue().splitlines())
+    replay = LiteralReplay(buffer.getvalue().splitlines())
     table = result.table
     by_id = dict(zip(table.ids, table.vectors))
     params = [result.start.copy() for _ in range(cfg.n)]

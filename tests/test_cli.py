@@ -341,6 +341,24 @@ def test_verify_damaged_file_exits_2(tmp_path, capsys, case):
     assert captured.err == f"error: unreadable run directory: {message}\n"
 
 
+@pytest.mark.parametrize("mode, applier", [
+    ("dasgd", 0), ("sync", 0), ("centralized_asgd", -1)])
+def test_verify_fails_header_only_staleness(tmp_path, capsys, mode, applier):
+    # Every applier the mode has must have applied every archived
+    # gradient, even when staleness.csv names no applier at all.
+    text = SMALL.replace("[run]\n", f"[run]\nmode = {mode}\n")
+    cfg = write_config(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    keep_header(os.path.join(out, "staleness.csv"))
+    producers, _, _ = runio.read_gradients(os.path.join(out, "gradients.npz"))
+    capsys.readouterr()
+    assert main(["verify", out]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (f"FAIL final-agreement: applier {applier} finished "
+                        f"with 0/{len(producers)} gradients")
+
+
 def test_verify_protocol_violation_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL)
     out = str(tmp_path / "out")

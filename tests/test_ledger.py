@@ -13,10 +13,10 @@ from dasgd_sim.ledger import (
     EventLogError,
     GradientId,
     StalenessLedger,
-    loose_staleness,
     parse_event_log,
-    tight_staleness,
 )
+
+from oracles import loose_staleness, tight_staleness
 
 A = GradientId(0, 0)
 B = GradientId(1, 0)

@@ -64,6 +64,21 @@ def test_dimension_mismatch_rejected():
         QuadraticObjective(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 6, 20])
+def test_losses_and_gradients_match_one_point_methods(dim):
+    # Bit for bit: `verify`'s descent check evaluates every event with
+    # the batched form, and its pinned FAIL lines print losses to nine
+    # digits.
+    rng = np.random.default_rng(dim)
+    obj = random_quadratic(rng, dim=dim)
+    points = rng.standard_normal((50, dim))
+    losses, grads = obj.losses_and_gradients(points)
+    assert np.array_equal(losses, [obj.loss(x) for x in points])
+    assert np.array_equal(grads, [obj.full_gradient(x) for x in points])
+    with pytest.raises(ValueError, match="dimension"):
+        obj.losses_and_gradients(points[:, :-1] if dim > 1 else points[0])
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_full_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
-"""Cross-route equivalence: incremental ledger vs brute-force replay."""
+"""Cross-route equivalence: the incremental ledger kernel, the dense
+brute-force replay and the literal frozenset reference."""
 
 import io
 
@@ -8,16 +9,16 @@ import pytest
 from dasgd_sim.ledger import (
     EventLogError,
     GradientId,
-    loose_staleness,
+    StalenessLedger,
     parse_event_log,
 )
 from dasgd_sim.oracle import (
     check_log,
-    naive_loose_staleness,
     random_event_log,
     replay_brute_force,
 )
 
+from oracles import LiteralReplay, loose_staleness, naive_loose_staleness
 from test_ledger import HAND_LOG, A, B, C
 
 
@@ -82,6 +83,49 @@ def test_brute_force_validates_steps():
     assert err.value.line_no == 1
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["COMPUTE 0 0", "APPLY 0 1 0 0"],
+     "line 2: APPLY step 1 does not match node 0 at step 0"),
+    (["COMPUTE 0 0", "COMPUTE 0 0"],
+     "line 2: GradientId(producer=0, step=0) computed twice"),
+    (["COMPUTE 0 0", "APPLY 0 0 1 0"],
+     "line 2: GradientId(producer=1, step=0) was never computed"),
+    (["APPLY 1 0 0 0", "COMPUTE 0 0"],
+     "line 1: GradientId(producer=0, step=0) was never computed"),
+    (["COMPUTE 0 0", "APPLY 0 0 0 0", "APPLY 0 1 0 0"],
+     "line 3: GradientId(producer=0, step=0) applied twice by node 0"),
+], ids=["apply_step", "computed_twice", "never_computed",
+        "applied_before_computed", "applied_twice"])
+def test_brute_force_rejects_protocol_violations(lines, message):
+    # The messages the frozenset replay gave; `verify` prints them.
+    with pytest.raises(EventLogError) as err:
+        replay_brute_force(lines)
+    assert str(err.value) == message
+
+
+def test_three_routes_agree_on_random_logs():
+    # Criterion 5's 1000 logs through the kernel, the dense replay and
+    # the literal frozenset reference: sizes from all three, and tight
+    # membership from the two that keep it.
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        n = int(rng.integers(1, 6))
+        lines = random_event_log(rng, n, max_total_steps=50)
+        kernel = StalenessLedger.replay(lines).records
+        dense = replay_brute_force(lines)
+        literal = LiteralReplay(lines).records
+        assert len(kernel) == dense.n_applications == len(literal)
+        for k, (rec, ref) in enumerate(zip(kernel, literal)):
+            members = dense.tight_idx[dense.tight_ptr[k]:dense.tight_ptr[k + 1]]
+            assert frozenset(dense.ids[j] for j in members) == ref.tight
+            assert (dense.line_no[k], dense.applier[k], dense.applier_step[k],
+                    dense.ids[dense.column[k]]) == \
+                (ref.line_no, ref.applier, ref.applier_step,
+                 GradientId(ref.producer, ref.producer_step))
+            assert rec.tight_size == dense.tight[k] == len(ref.tight)
+            assert rec.loose_size == dense.loose[k] == len(ref.loose)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_random_logs_equivalent(seed):
     rng = np.random.default_rng(1000 + seed)
@@ -96,6 +140,6 @@ def test_random_log_is_protocol_valid():
     lines = random_event_log(rng, 4, max_total_steps=50)
     replay = replay_brute_force(lines)
     # Termination means everyone applied everything.
-    sets = {frozenset(s) for s in replay.applied}
+    sets = {replay.applied_set(node) for node in range(replay.n_nodes)}
     assert len(sets) == 1
-    assert len(replay.applied[0]) <= 50
+    assert len(replay.applied_set(0)) <= 50
