@@ -197,7 +197,7 @@ def _start(config: SimConfig) -> tuple:
 
 def _check_finite(x, label: int, t: int, now: float, eta: float) -> None:
     """Parameters that left the finite range after step t diverged."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DivergenceError(label, t, now, eta)
 
 

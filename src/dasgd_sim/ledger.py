@@ -19,6 +19,14 @@ the incoming gradient was computed from.  The loose size enlarges that
 recursively: every gradient of the snapshot the applier has not seen drags
 in the difference against its own creation snapshot, chased to a fixed
 point.  Loose is never smaller than tight.
+
+The fixed point costs one snapshot per producer, not one per gradient
+reached.  A producer's applied set only grows, so the snapshots of its
+gradients are nested: over the gradients of one producer that the closure
+reaches, their union is the newest one's snapshot and their intersection
+the oldest one's.  The loose set is the applier's set minus the
+intersection of the reached snapshots, together with their union minus
+the applier's set, so the two ends per producer decide it.
 """
 
 from __future__ import annotations
@@ -118,6 +126,16 @@ class StalenessKernel:
     that the applier has not seen into that gradient's own snapshot, to a
     fixed point, and counts the union of all the differences.
 
+    The closure is swept in descending gid order, expanding one gradient
+    per producer.  A snapshot holds only older gids, so the first gradient
+    of a producer the sweep pops is the newest of that producer it will
+    ever reach.  Its snapshot contains every older snapshot of the same
+    producer, so expanding the older ones would reach nothing new: the
+    sweep ORs in that one snapshot and drops the producer's other gids.
+    The reached set, and with it the fixed point, is the one a walk over
+    every reached gradient finds.  One pass over the producers met then
+    ANDs in the snapshot of each one's oldest reached gradient.
+
     Nodes must lie in [0, n_nodes) and gradient ids in [0, n_gradients);
     anything else raises IndexError instead of indexing from the end.
     """
@@ -127,6 +145,8 @@ class StalenessKernel:
             raise ValueError("need at least one node")
         self._members = [0] * n_nodes
         self._snapshots: list[int] = []  # gid -> producer's set at creation
+        self._producer: list[int] = []   # gid -> producer
+        self._produced = [0] * n_nodes   # node -> mask of the gids it made
 
     @property
     def n_nodes(self) -> int:
@@ -153,6 +173,8 @@ class StalenessKernel:
         self._check_node(producer)
         gid = len(self._snapshots)
         self._snapshots.append(self._members[producer])
+        self._producer.append(producer)
+        self._produced[producer] |= 1 << gid
         return gid
 
     def apply_gradient(self, node: int, gid: int) -> tuple[int, int]:
@@ -166,23 +188,37 @@ class StalenessKernel:
             raise ValueError(f"gradient {gid} already applied by node {node}")
         snap = self._snapshots[gid]
         tight = (members ^ snap).bit_count()
-        loose = self._loose_size(members, snap)
+        # With the whole snapshot already applied nothing is reached, and
+        # the loose set is the tight one.
+        loose = self._loose_size(members, bit) if snap & ~members else tight
         self._members[node] = members | bit
         return tight, loose
 
-    def _loose_size(self, members: int, snap: int) -> int:
-        result = members ^ snap
-        frontier = snap & ~members
-        seen = frontier
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            g_snap = self._snapshots[low.bit_length() - 1]
-            result |= members ^ g_snap
-            fresh = g_snap & ~members & ~seen
-            seen |= fresh
-            frontier |= fresh
-        return result.bit_count()
+    def _loose_size(self, members: int, bit: int) -> int:
+        # `reached` holds the applied gradient and every unseen gradient
+        # its closure reaches; their snapshots are the terms.  `done`
+        # masks the gids of the producers already expanded, so the
+        # highest gid left in `todo` is its producer's newest reached one.
+        snapshots = self._snapshots
+        producer_of = self._producer
+        produced = self._produced
+        reached = todo = bit
+        done = union = 0
+        met = []
+        while todo:
+            gid = todo.bit_length() - 1
+            producer = producer_of[gid]
+            snap = snapshots[gid]
+            union |= snap
+            reached |= snap & ~members
+            done |= produced[producer]
+            todo = reached & ~done
+            met.append(producer)
+        inter = -1
+        for producer in met:
+            oldest = reached & produced[producer]
+            inter &= snapshots[(oldest & -oldest).bit_length() - 1]
+        return ((union & ~members) | (members & ~inter)).bit_count()
 
     def node_size(self, node: int) -> int:
         self._check_node(node)

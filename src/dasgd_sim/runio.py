@@ -32,6 +32,7 @@ from dasgd_sim.engine import (
     run_sync_baseline,
 )
 from dasgd_sim.theory import (
+    gradient_bound,
     rate_bound_bounded_gradients,
     run_ceiling_inputs,
     stepsize_bound_tight,
@@ -173,8 +174,8 @@ def _bound_comparison(effective, result):
     obj = result.config.objective
     inputs, rule = run_ceiling_inputs(
         obj.lipschitz_constant(), obj.loss(result.start) - obj.min_value(),
-        result.config.eta, result.table.vectors, summary.tight_avg,
-        summary.tight_max)
+        result.config.eta, gradient_bound(result.table.vectors),
+        summary.tight_avg, summary.tight_max)
     if inputs is None:
         return ("n/a", f"skipped (eta {fmt(result.config.eta)} above the "
                        f"stepsize rule {fmt(rule)})")

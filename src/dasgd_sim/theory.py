@@ -141,25 +141,32 @@ def rate_bound_bounded_gradients(inputs: BoundInputs, horizon: int) -> float:
     return noise + mixed + drift
 
 
+def gradient_bound(gradients) -> float:
+    """Largest norm among `gradients`, or 0 for none.  A norm past float
+    range is inf, without a warning; the caller decides what it means."""
+    with np.errstate(over="ignore"):
+        return max((float(np.linalg.norm(v)) for v in gradients),
+                   default=0.0)
+
+
 def run_ceiling_inputs(lipschitz: float, init_gap: float, eta: float,
-                       gradients, tight_avg: float, tight_max: float) -> tuple:
+                       grad_bound: float, tight_avg: float,
+                       tight_max: float) -> tuple:
     """(inputs, rule) for holding a finished deterministic run against the
     bounded-gradient ceiling.
 
     `rule` is the tight stepsize rule at the measured average staleness;
     `inputs` is None when eta is above it and the ceiling claims nothing.
-    The gradient bound is the largest norm among the run's `gradients`.
-    The ceiling is stated at the rule's equality, so a smaller eta is
-    compared as if staleness sat at the level whose rule picks exactly
-    this eta; measured drift is below that level, keeping the comparison
-    an upper bound.  Zero measured staleness degenerates the ceiling:
-    callers skip such runs before asking.
+    `grad_bound` is the run's `gradient_bound`.  The ceiling is stated at
+    the rule's equality, so a smaller eta is compared as if staleness sat
+    at the level whose rule picks exactly this eta; measured drift is
+    below that level, keeping the comparison an upper bound.  Zero
+    measured staleness degenerates the ceiling: callers skip such runs
+    before asking.
     """
     rule = stepsize_bound_tight(lipschitz, tight_avg)
     if eta > rule * _ETA_SLACK:
         return None, rule
-    grad_bound = max((float(np.linalg.norm(v)) for v in gradients),
-                     default=0.0)
     display_avg = max(tight_avg, 1.0 / (4.0 * lipschitz * eta))
     inputs = BoundInputs(lipschitz=lipschitz, init_gap=init_gap, eta=eta,
                          grad_bound=grad_bound, tight_avg=display_avg,

@@ -10,6 +10,7 @@ setting report themselves as skipped with the reason.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from dasgd_sim import runio
 from dasgd_sim.ledger import GradientId, summarize_applications
 from dasgd_sim.oracle import check_log, replay_brute_force
 from dasgd_sim.theory import (
+    gradient_bound,
     rate_bound_bounded_gradients,
     run_ceiling_inputs,
     running_psi,
@@ -172,12 +174,17 @@ def _check_rate_bound(config, trace, staleness, gradients, models):
     if summary.tight_avg == 0.0:
         return CheckResult("rate-bound", "skip",
                            "zero measured staleness degenerates the ceiling")
+    grad_bound = gradient_bound(gradients[2])
+    if not math.isfinite(grad_bound):
+        return CheckResult("rate-bound", "fail",
+                           "gradient bound is not finite: a gradient norm "
+                           "in gradients.npz overflows")
     obj = config.build_objective()
     x0, _ = models
     eta = trace[0]["eta"]
     inputs, rule = run_ceiling_inputs(
         obj.lipschitz_constant(), obj.loss(x0) - obj.min_value(), eta,
-        gradients[2], summary.tight_avg, summary.tight_max)
+        grad_bound, summary.tight_avg, summary.tight_max)
     if inputs is None:
         return CheckResult("rate-bound", "skip",
                            f"eta {eta:.6g} above the stepsize rule {rule:.6g}")
@@ -234,12 +241,16 @@ def _check_descent(config, trace, gradients, models, replay):
     lhs, rhs = _descent_sides(obj, lipschitz, eta, x0, vectors, rows,
                               replay, stop)
     slack = 1e-9 * np.maximum(1.0, np.abs(rhs))
-    failed = (lhs > rhs + slack) | ~np.isfinite(lhs)
+    finite = np.isfinite(lhs) & np.isfinite(rhs)
+    failed = (lhs > rhs + slack) | ~finite
     if failed.any():
         k = int(np.argmax(failed))
-        if not np.isfinite(lhs[k]):
-            # What the one-point `loss` raises on reaching this event.
-            raise FloatingPointError("non-finite loss")
+        if not finite[k]:
+            side = "f-after" if not np.isfinite(lhs[k]) else "allowance"
+            return CheckResult(
+                "descent-step", "fail",
+                f"applier {replay.applier[k]} step "
+                f"{replay.applier_step[k]}: {side} is not finite")
         return CheckResult(
             "descent-step", "fail",
             f"applier {replay.applier[k]} step {replay.applier_step[k]}: "
@@ -264,27 +275,30 @@ def _descent_sides(obj, lipschitz, eta, x0, vectors, rows, replay, stop):
     Each node's parameter chain is x0 minus eta times its applied
     gradients, accumulated in the order it applied them; the drift of an
     application is eta times the summed magnitude of its tight set.
+    Values past float range come out inf or nan, without a warning.
     """
     def dots(a):
         return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
 
     applier = replay.applier[:stop]
     applied_rows = rows[replay.column[:stop]]
-    drift = eta * _tight_sums(np.abs(vectors), rows, replay.tight_ptr[:stop + 1],
-                              replay.tight_idx)
-    allowance = 0.5 * eta * lipschitz**2 * dots(drift)
     lhs = np.empty(stop)
     rhs = np.empty(stop)
-    for node in range(replay.n_nodes):
-        mine = np.flatnonzero(applier == node)
-        chain = np.empty((len(mine) + 1, x0.shape[0]))
-        chain[0] = x0
-        chain[1:] = eta * vectors[applied_rows[mine]]
-        losses, grads = obj.losses_and_gradients(
-            np.subtract.accumulate(chain, axis=0))
-        lhs[mine] = losses[1:]
-        rhs[mine] = (losses[:-1] - 0.5 * eta * dots(grads[:-1])
-                     + allowance[mine])
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = eta * _tight_sums(np.abs(vectors), rows,
+                                  replay.tight_ptr[:stop + 1],
+                                  replay.tight_idx)
+        allowance = 0.5 * eta * lipschitz**2 * dots(drift)
+        for node in range(replay.n_nodes):
+            mine = np.flatnonzero(applier == node)
+            chain = np.empty((len(mine) + 1, x0.shape[0]))
+            chain[0] = x0
+            chain[1:] = eta * vectors[applied_rows[mine]]
+            losses, grads = obj.losses_and_gradients(
+                np.subtract.accumulate(chain, axis=0))
+            lhs[mine] = losses[1:]
+            rhs[mine] = (losses[:-1] - 0.5 * eta * dots(grads[:-1])
+                         + allowance[mine])
     return lhs, rhs
 
 

@@ -3,6 +3,7 @@ verification audits, sweeps, and the documented exit codes."""
 
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,35 @@ def test_verify_reports_gradient_missing_from_archive(tmp_path, capsys):
         ["PASS", "rate-bound:"], ["FAIL", "descent-step:"],
     ]
     assert lines[3].endswith(f"{missing} absent from gradients.npz")
+
+
+def test_verify_fails_overflowing_gradient(tmp_path, capsys):
+    # The archive is readable, but the gradient's norm and the losses
+    # along its appliers' chains leave float range.
+    cfg = write_config(tmp_path, SMALL)
+    out = str(tmp_path / "out")
+    main(["run", "--config", cfg, "--out", out])
+    path = os.path.join(out, "gradients.npz")
+    producers, steps, vectors = runio.read_gradients(path)
+    vectors = vectors.copy()
+    vectors[5] *= 1e200
+    np.savez(path, producers=producers, steps=steps, vectors=vectors)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", out]) == 1
+    shown = capsys.readouterr()
+    assert shown.err == ""
+    lines = shown.out.splitlines()
+    assert [l.split()[:2] for l in lines] == [
+        ["FAIL", "final-agreement:"], ["PASS", "staleness-oracle:"],
+        ["FAIL", "rate-bound:"], ["FAIL", "descent-step:"],
+    ]
+    assert lines[2] == ("FAIL rate-bound: gradient bound is not finite: "
+                        "a gradient norm in gradients.npz overflows")
+    # The producer applies its own gradient first.
+    assert lines[3] == (f"FAIL descent-step: applier {producers[5]} step "
+                        f"{steps[5]}: f-after is not finite")
 
 
 def keep_header(path):

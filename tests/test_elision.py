@@ -85,6 +85,31 @@ latency = uniform:0.05:0.6
 compute_scale = 1,1,1,1,1,2
 """
 
+# Closure-heavy traffic for the loose column: one-way ring, latency of the
+# order of the compute time, so 1,330 of the 1,920 applications reach
+# gradients the applier has not seen.  Pinned later than the three above,
+# with the kernel that walked the loose closure one gradient at a time.
+RING_EXPONENTIAL = """\
+[run]
+seed = 4
+samples_per_node = 30
+
+[objective]
+dim = 1
+condition = 4.0
+
+[topology]
+kind = ring
+n = 8
+
+[timing]
+compute = uniform:0.8:1.2
+latency = exponential:1.0
+
+[sgd]
+eta = 0.01
+"""
+
 # sha256 per file.  summary.txt is hashed without the traffic counters and
 # without its `kernel` line, which names the loaded kernel build.
 GOLDEN = {
@@ -114,6 +139,15 @@ GOLDEN = {
         "staleness.csv": "1c6f6f2f9c2879b393afc2224c7ff81579106243a4b7fa662b9a64288e8e4c5a",
         "summary.txt": "99b9e7f1c0e2b2c995676fa109261d8395d6c0f42859ad538852e1ca1127103d",
         "trace.csv": "cee04ed3e64ca66de544a046a3809356f283da7fadb16032beb7ada5809fd12f",
+    }),
+    "ring_exponential": (RING_EXPONENTIAL, {
+        "events.log": "19d6791aaa63a82b44c5c913f291061bde32e234475083cf1d8c237b3432ca02",
+        "gradients.npz": "f8aacb2ba6b78a562c9f1bb7c703468eed0ad63a789a0354b1ad4d181822b710",
+        "manifest.txt": "33ab7e99de86a1d3ca64aa19092bc8369f6e75ffeb8112fe84d50d8470b51f4f",
+        "models.npz": "c38491212eea1e30fd3b96b129dee7d63aea2fca5fd7f6eff924b73da15845c1",
+        "staleness.csv": "fbbd12098cae3d88ec859de7f1755d1f4ab411a151ed201d136210124be6a00f",
+        "summary.txt": "bb58c7c3a39753400809ddad871d58866344ee863bd1a1095ee8148923f2ed04",
+        "trace.csv": "a3221df30dbc301ab618f575822df7742169da03757cd2a912a4425f0e5e5c39",
     }),
 }
 

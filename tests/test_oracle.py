@@ -103,14 +103,20 @@ def test_brute_force_rejects_protocol_violations(lines, message):
     assert str(err.value) == message
 
 
-def test_three_routes_agree_on_random_logs():
-    # Criterion 5's 1000 logs through the kernel, the dense replay and
-    # the literal frozenset reference: sizes from all three, and tight
-    # membership from the two that keep it.
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        n = int(rng.integers(1, 6))
-        lines = random_event_log(rng, n, max_total_steps=50)
+@pytest.mark.parametrize("seed, count, max_nodes, max_steps", [
+    (7, 1000, 5, 50),
+    # More producers and longer logs: deeper loose closures, more
+    # gradients of one producer reached per closure.
+    (8, 150, 8, 150),
+], ids=["criterion5", "long"])
+def test_three_routes_agree_on_random_logs(seed, count, max_nodes, max_steps):
+    # Criterion 5's 1000 logs, then longer ones, through the kernel, the
+    # dense replay and the literal frozenset reference: sizes from all
+    # three, and tight membership from the two that keep it.
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, max_nodes + 1))
+        lines = random_event_log(rng, n, max_total_steps=max_steps)
         kernel = StalenessLedger.replay(lines).records
         dense = replay_brute_force(lines)
         literal = LiteralReplay(lines).records
