@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from dasgd_sim.theory import running_psi
 
 DELIVER = 0        # sorts before COMPUTE_DONE at equal times
 COMPUTE_DONE = 1
+TRACE_BLOCK = 1024  # trace rows evaluated per objective call
 
 
 class DivergenceError(RuntimeError):
@@ -94,8 +95,7 @@ class SimConfig:
         validate_topology(self.topology)
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     t: int
     sim_time: float
     node: int
@@ -105,8 +105,7 @@ class TraceRow:
     loose: int
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     time: float
     kind: str      # compute | apply | send | deliver | duplicate
     node: int
@@ -171,7 +170,16 @@ class RunResult:
                         running_psi(r.grad_norm_sq for r in rows)))
 
     def node_rows(self, node: int) -> list:
-        return sorted((r for r in self.rows if r.node == node), key=lambda r: r.t)
+        return self.rows_by_node().get(node, [])
+
+    def rows_by_node(self) -> dict:
+        """node -> its trace rows in step order, grouped in one pass."""
+        groups: dict = {}
+        for row in self.rows:
+            groups.setdefault(row.node, []).append(row)
+        for rows in groups.values():
+            rows.sort(key=lambda r: r.t)
+        return groups
 
 
 def gradient_seed(master: int, producer: int, step: int) -> int:
@@ -195,31 +203,63 @@ def _start(config: SimConfig) -> tuple:
     return x0, scale, rng
 
 
-def _check_finite(x, label: int, t: int, now: float, eta: float) -> None:
-    """Parameters that left the finite range after step t diverged."""
-    if not np.isfinite(x).all():
-        raise DivergenceError(label, t, now, eta)
+class _Trace:
+    """The trace rows of one run and its divergence checks.
 
+    A logged point is copied into a block, and a full block is evaluated
+    in one `losses_and_gradients` call; `rows` is complete after `flush`.
+    A row whose loss or gradient norm is not finite is divergence,
+    reported at its label, step and time.  The parameter check evaluates
+    the pending rows before it raises its own error, so the first failure
+    in logging order is the one reported.
+    """
 
-def _log_metrics(rows: list, config: SimConfig, last_t: int, label: int,
-                 x, t: int, now: float, node: int,
-                 tight: int = 0, loose: int = 0) -> None:
-    """Append the trace row of step t unless the metric stride thins it
-    out; t=0 and the last step `last_t` are always logged.  A loss or
-    gradient norm that is not finite is divergence, reported at `label`
-    like the parameter check."""
-    if t % config.metric_stride and t != last_t:
-        return
-    obj = config.objective
-    try:
-        loss = obj.loss(x)
-        grad = obj.full_gradient(x)
-        gsq = float(grad @ grad)
-    except FloatingPointError:
-        raise DivergenceError(label, t, now, config.eta) from None
-    if not np.isfinite(gsq):
-        raise DivergenceError(label, t, now, config.eta)
-    rows.append(TraceRow(t, now, node, loss, gsq, tight, loose))
+    def __init__(self, config: SimConfig, dim: int, last_t: int):
+        self.rows: list[TraceRow] = []
+        self._objective = config.objective
+        self._stride = config.metric_stride
+        self._eta = config.eta
+        self._last_t = last_t
+        self._points = np.empty((TRACE_BLOCK, dim))
+        self._pending: list = []   # (label, t, sim_time, node, tight, loose)
+
+    def log(self, x, label: int, t: int, now: float, node: int,
+            tight: int = 0, loose: int = 0) -> None:
+        """Queue the row of step t unless the metric stride thins it out;
+        t=0 and the last step are always logged."""
+        if t % self._stride and t != self._last_t:
+            return
+        pending = self._pending
+        self._points[len(pending)] = x
+        pending.append((label, t, now, node, tight, loose))
+        if len(pending) == TRACE_BLOCK:
+            self.flush()
+
+    def check(self, x, label: int, t: int, now: float) -> None:
+        """Parameters that left the finite range after step t diverged."""
+        if not np.isfinite(x).all():
+            self.flush()
+            raise DivergenceError(label, t, now, self._eta)
+
+    def flush(self) -> None:
+        """Evaluate the pending rows."""
+        pending = self._pending
+        if not pending:
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            losses, grads = self._objective.losses_and_gradients(
+                self._points[:len(pending)])
+            # One dot per row, the sum float(g @ g) makes.
+            gsq = (grads[:, None, :] @ grads[:, :, None])[:, 0, 0]
+        finite = np.isfinite(losses) & np.isfinite(gsq)
+        if not finite.all():
+            label, t, now = pending[int(finite.argmin())][:3]
+            raise DivergenceError(label, t, now, self._eta)
+        self.rows.extend(
+            TraceRow(t, now, node, loss, g, tight, loose)
+            for (_, t, now, node, tight, loose), loss, g
+            in zip(pending, losses.tolist(), gsq.tolist()))
+        pending.clear()
 
 
 def run(config: SimConfig) -> RunResult:
@@ -238,7 +278,7 @@ def run(config: SimConfig) -> RunResult:
     inbox = [deque() for _ in range(n)]
     budget = [config.samples_per_node] * n
 
-    rows: list[TraceRow] = []
+    trace = _Trace(config, x0.shape[0], total_expected)
     staleness_log: list = []
     events: list[TraceEvent] = []
 
@@ -256,9 +296,9 @@ def run(config: SimConfig) -> RunResult:
         staleness_log.append((now, rec))
         events.append(TraceEvent(now, "apply", node, gid))
         t = rec.applier_step + 1
-        _check_finite(params[node], node, t, now, eta)
-        _log_metrics(rows, config, total_expected, node, params[node], t, now,
-                     node, rec.tight_size, rec.loose_size)
+        trace.check(params[node], node, t, now)
+        trace.log(params[node], node, t, now, node, rec.tight_size,
+                  rec.loose_size)
         if arrived_from is not None:
             for msg in network.relay(node, gid, arrived_from, now, rng_time):
                 events.append(TraceEvent(now, "send", node, msg.gid))
@@ -300,7 +340,7 @@ def run(config: SimConfig) -> RunResult:
             apply_one(node, msg.gid, now, msg.sender)
 
     for node in range(n):
-        _log_metrics(rows, config, total_expected, node, x0, 0, 0.0, node)
+        trace.log(x0, node, 0, 0.0, node)
     for node in range(n):
         duration = config.compute_time.sample(rng_time) * scale[node]
         schedule(duration, COMPUTE_DONE, node, None)
@@ -315,6 +355,7 @@ def run(config: SimConfig) -> RunResult:
                 on_deliver(node, payload, now)
             else:
                 on_compute_done(node, now)
+    trace.flush()
 
     if ledger.n_gradients != total_expected:
         raise RuntimeError("not every budgeted gradient was computed")
@@ -326,7 +367,7 @@ def run(config: SimConfig) -> RunResult:
         mode="dasgd",
         config=config,
         start=x0,
-        rows=rows,
+        rows=trace.rows,
         staleness_log=staleness_log,
         events=events,
         table=table,
@@ -354,10 +395,10 @@ def run_sync_baseline(config: SimConfig) -> RunResult:
     table = GradientTable()
     x = x0.copy()
     now = 0.0
-    rows: list[TraceRow] = []
+    trace = _Trace(config, x0.shape[0], rounds)
     staleness_log: list = []
 
-    _log_metrics(rows, config, rounds, 0, x, 0, 0.0, 0)
+    trace.log(x, 0, 0, 0.0, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(rounds):
             durations = [
@@ -374,16 +415,16 @@ def run_sync_baseline(config: SimConfig) -> RunResult:
             table.add(ident, averaged)
             rec = ledger.record_application(0, ident)
             x -= eta * averaged
-            _check_finite(x, 0, r + 1, now, eta)
+            trace.check(x, 0, r + 1, now)
             staleness_log.append((now, rec))
-            _log_metrics(rows, config, rounds, 0, x, r + 1, now, 0,
-                         rec.tight_size, rec.loose_size)
+            trace.log(x, 0, r + 1, now, 0, rec.tight_size, rec.loose_size)
+    trace.flush()
 
     return RunResult(
         mode="sync",
         config=config,
         start=x0,
-        rows=rows,
+        rows=trace.rows,
         staleness_log=staleness_log,
         events=[],
         table=table,
@@ -422,7 +463,7 @@ def run_centralized_asgd(config: SimConfig) -> RunResult:
     fetched_count = [0] * n
     pushes_done = [0] * n
 
-    rows: list[TraceRow] = []
+    trace = _Trace(config, x0.shape[0], last_t)
     staleness_log: list = []
     delay_pairs: list = []
     heap: list = []
@@ -436,7 +477,7 @@ def run_centralized_asgd(config: SimConfig) -> RunResult:
         seq += 1
 
     # Rows carry the pushing worker (0 at t=0); divergence is the server's.
-    _log_metrics(rows, config, last_t, -1, server, 0, 0.0, 0)
+    trace.log(server, -1, 0, 0.0, 0)
     for worker in range(n):
         push_arrival(worker, 0.0)
 
@@ -455,7 +496,7 @@ def run_centralized_asgd(config: SimConfig) -> RunResult:
             diff = len(server_set ^ fetched_set[worker])
             delay_pairs.append((delay, diff))
             server -= eta * np.asarray(vector, dtype=float)
-            _check_finite(server, -1, update_count + 1, now, eta)
+            trace.check(server, -1, update_count + 1, now)
             table.add(ident, np.asarray(vector, dtype=float))
             server_set.add(ident)
             update_count += 1
@@ -468,20 +509,20 @@ def run_centralized_asgd(config: SimConfig) -> RunResult:
                 loose_size=diff,
             )
             staleness_log.append((now, rec))
-            _log_metrics(rows, config, last_t, -1, server, update_count, now,
-                         worker, diff, diff)
+            trace.log(server, -1, update_count, now, worker, diff, diff)
             pushes_done[worker] = step + 1
             fetched_params[worker] = server.copy()
             fetched_set[worker] = frozenset(server_set)
             fetched_count[worker] = update_count
             if pushes_done[worker] < config.samples_per_node:
                 push_arrival(worker, now)
+    trace.flush()
 
     return RunResult(
         mode="centralized_asgd",
         config=config,
         start=x0,
-        rows=rows,
+        rows=trace.rows,
         staleness_log=staleness_log,
         events=[],
         table=table,

@@ -52,10 +52,10 @@ class GradientId(NamedTuple):
     step: int
 
 
-@dataclass(frozen=True)
-class StalenessRecord:
+class StalenessRecord(NamedTuple):
     """One application event.  `applier_step` is the applier's step count
-    before the gradient was added (the application itself advances it)."""
+    before the gradient was added (the application itself advances it).
+    A tuple, like `GradientId`."""
 
     applier: int
     applier_step: int

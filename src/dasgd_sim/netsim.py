@@ -23,6 +23,14 @@ gradient.  Elision leaves every output byte-identical because
     `Network.elided_until`, from which the engine restores the run's end
     time.
 
+Each gradient keeps one bitmask of the nodes that accepted it, and the
+targets of each (node, arrival edge) pair are computed once, with their
+mask, so `route_mask & holders` is the set of elided copies.  Under
+constant latency nothing is drawn and an elided copy takes no step of
+its own.  Random latency draws one relay's delays in one batch
+(`TimeDistribution.sample_many`): the values k scalar draws give, with
+the generator left in the same state.
+
 The traffic stays visible: a dasgd run's summary.txt reports
 `messages_sent` (copies scheduled), `messages_duplicate` (scheduled copies
 that found the gradient already accepted) and `messages_elided` (copies
@@ -33,6 +41,7 @@ sends; sent - duplicate is the number of accepted copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +103,8 @@ class Topology:
         return self._adjacency[node]
 
     def route_targets(self, node: int, arrived_from: int = None) -> tuple:
-        """Where copies of a gradient leaving `node` go.  `arrived_from`
-        is None when the node is the producer."""
+        """Where copies of a gradient leaving `node` go, in ascending
+        order.  `arrived_from` is None when the node is the producer."""
         if self.kind == "ring" and self.n > 1:
             forward = (node + 1) % self.n
             return () if forward == arrived_from else (forward,)
@@ -176,9 +185,28 @@ class TimeDistribution:
             value = float(rng.exponential(self.low))
         return value
 
+    def sample_many(self, rng, k: int) -> list:
+        """k delays: the values k `sample` calls return, leaving `rng` in
+        the state they leave it in.  A batch draw repeats the scalar
+        draw k times; one of size 1 costs more than the scalar call."""
+        if self.kind == "constant":
+            return [self.low] * k
+        if k < 2:
+            return [self.sample(rng) for _ in range(k)]
+        if self.kind == "uniform":
+            return rng.uniform(self.low, self.high, size=k).tolist()
+        values = rng.exponential(self.low, size=k).tolist()
+        if min(values) > 0.0:
+            return values
+        # `sample` redraws a non-positive value, so k calls return the
+        # first k positive values of the stream.
+        values = [v for v in values if v > 0.0]
+        while len(values) < k:
+            values.append(self.sample(rng))
+        return values
 
-@dataclass(frozen=True)
-class InFlightMessage:
+
+class InFlightMessage(NamedTuple):
     gid: int             # dense gradient id
     sender: int
     to: int
@@ -200,24 +228,53 @@ class Network:
     def __init__(self, topology: Topology, latency: TimeDistribution):
         self.topology = topology
         self.latency = latency
-        self._seen = [set() for _ in range(topology.n)]
+        self._routes: dict = {}    # (node, arrived_from) -> (targets, mask)
+        self._holders: dict = {}   # gid -> mask of the nodes that accepted it
         self.sent_count = 0
         self.duplicate_count = 0
         self.elided_count = 0
         self.elided_until = 0.0   # latest arrival an elided copy would have had
 
-    def _make_messages(self, node, gid, targets, now, rng):
-        out = []
-        for to in targets:
+    def _route(self, node, arrived_from):
+        route = self._routes.get((node, arrived_from))
+        if route is None:
+            targets = self.topology.route_targets(node, arrived_from)
+            mask = 0
+            for to in targets:
+                mask |= 1 << to
+            route = self._routes[node, arrived_from] = (targets, mask)
+        return route
+
+    def _make_messages(self, node, gid, route, now, rng):
+        targets, mask = route
+        held = self._holders.get(gid, 0)
+        send = mask & ~held
+        elided = mask & held
+        latency = self.latency
+        if latency.kind == "constant":
+            # No draws: only the copies sent take a step.  Targets
+            # ascend, so lowest bit first keeps their order.
+            deliver_at = now + latency.low
+            out = []
+            while send:
+                low = send & -send
+                send ^= low
+                out.append(InFlightMessage(gid, node, low.bit_length() - 1,
+                                           deliver_at))
+            if elided and deliver_at > self.elided_until:
+                self.elided_until = deliver_at
+        else:
             # Drawn for elided copies too, so later draws do not shift.
-            deliver_at = now + self.latency.sample(rng)
-            if gid in self._seen[to]:
-                self.elided_count += 1
-                if deliver_at > self.elided_until:
+            delays = latency.sample_many(rng, len(targets))
+            out = []
+            for to, delay in zip(targets, delays):
+                deliver_at = now + delay
+                if send >> to & 1:
+                    out.append(InFlightMessage(gid, node, to, deliver_at))
+                elif deliver_at > self.elided_until:
                     self.elided_until = deliver_at
-                continue
-            out.append(InFlightMessage(gid, node, to, deliver_at))
         self.sent_count += len(out)
+        self.elided_count += elided.bit_count()
         return out
 
     def counts(self) -> MessageCounts:
@@ -227,20 +284,21 @@ class Network:
     def disseminate(self, origin: int, gid: int, now: float, rng) -> list:
         """Messages for a gradient the origin just produced (the origin
         itself counts as having seen it)."""
-        self._seen[origin].add(gid)
-        targets = self.topology.route_targets(origin, arrived_from=None)
-        return self._make_messages(origin, gid, targets, now, rng)
+        self._holders[gid] = self._holders.get(gid, 0) | 1 << origin
+        return self._make_messages(origin, gid, self._route(origin, None),
+                                   now, rng)
 
     def on_receive(self, node: int, message: InFlightMessage) -> str:
         """Mark the arrival; "accept" exactly once per (node, gradient)."""
-        if message.gid in self._seen[node]:
+        held = self._holders.get(message.gid, 0)
+        if held >> node & 1:
             self.duplicate_count += 1
             return "duplicate"
-        self._seen[node].add(message.gid)
+        self._holders[message.gid] = held | 1 << node
         return "accept"
 
     def relay(self, node: int, gid: int, arrived_from: int, now: float, rng) -> list:
         """Forward copies of an accepted gradient; called when the node
         processes it."""
-        targets = self.topology.route_targets(node, arrived_from)
-        return self._make_messages(node, gid, targets, now, rng)
+        return self._make_messages(node, gid, self._route(node, arrived_from),
+                                   now, rng)

@@ -166,20 +166,34 @@ class LogisticObjective:
         return x
 
     def loss(self, x) -> float:
-        x = self._check(x)
-        z = self.features @ x
-        # log(1 + e^z) - y z, computed stably for large |z|.
-        value = float(np.mean(np.logaddexp(0.0, z) - self.labels * z))
-        value += 0.5 * self.ridge * float(x @ x)
+        value = self._loss(self._check(x))
         if not np.isfinite(value):
             raise FloatingPointError("non-finite loss")
         return value
+
+    def _loss(self, x) -> float:
+        z = self.features @ x
+        # log(1 + e^z) - y z, computed stably for large |z|.
+        value = float(np.mean(np.logaddexp(0.0, z) - self.labels * z))
+        return value + 0.5 * self.ridge * float(x @ x)
 
     def full_gradient(self, x):
         x = self._check(x)
         z = self.features @ x
         p = _sigmoid(z)
         return self.features.T @ (p - self.labels) / self.n_rows + self.ridge * x
+
+    def losses_and_gradients(self, points):
+        """`loss` and `full_gradient` at every row of `points`, one row at
+        a time.  A non-finite loss is returned rather than raised, as in
+        the quadratic's batched form."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise ValueError(
+                f"expected rows of dimension {self.dim}, got {points.shape}")
+        losses = np.array([self._loss(x) for x in points])
+        grads = np.array([self.full_gradient(x) for x in points])
+        return losses, grads.reshape(points.shape)
 
     def stochastic_gradient(self, x, seed: int):
         x = self._check(x)

@@ -35,6 +35,7 @@ from dasgd_sim.theory import (
     gradient_bound,
     rate_bound_bounded_gradients,
     run_ceiling_inputs,
+    running_psi,
     stepsize_bound_tight,
 )
 
@@ -152,15 +153,12 @@ def psi_final(result: RunResult) -> float:
     last logged step.  Exact when metric_stride is 1, otherwise an
     average over the logged subset."""
     worst = 0.0
-    nodes = {row.node for row in result.rows}
-    for node in nodes:
-        series = result.psi_series(node)
-        if series:
-            worst = max(worst, series[-1][1])
+    for rows in result.rows_by_node().values():
+        worst = max(worst, running_psi(r.grad_norm_sq for r in rows)[-1])
     return worst
 
 
-def _bound_comparison(effective, result):
+def _bound_comparison(effective, result, psi):
     """(bound_text, satisfied_text) for the summary, or skip reasons."""
     if effective.objective_kind != "quadratic":
         return ("n/a", "skipped (no analytic noise ceiling for logistic)")
@@ -181,14 +179,14 @@ def _bound_comparison(effective, result):
                        f"stepsize rule {fmt(rule)})")
     horizon = max(row.t for row in result.rows)
     bound = rate_bound_bounded_gradients(inputs, horizon)
-    measured = psi_final(result)
-    verdict = "yes" if measured <= bound else "no"
+    verdict = "yes" if psi <= bound else "no"
     return (fmt(bound), verdict)
 
 
 def _write_summary(path, run_id, effective, result, eta_source):
     summary = result.summary
-    bound_text, satisfied = _bound_comparison(effective, result)
+    psi = psi_final(result)
+    bound_text, satisfied = _bound_comparison(effective, result, psi)
     lines = [
         ("run_id", run_id),
         ("mode", result.mode),
@@ -206,7 +204,7 @@ def _write_summary(path, run_id, effective, result, eta_source):
         ("tight_max", summary.tight_max),
         ("loose_avg", fmt(summary.loose_avg)),
         ("loose_max", summary.loose_max),
-        ("psi_final", fmt(psi_final(result))),
+        ("psi_final", fmt(psi)),
         ("rate_bound_final", bound_text),
         ("bound_satisfied", satisfied),
     ]

@@ -110,6 +110,54 @@ latency = exponential:1.0
 eta = 0.01
 """
 
+# The benchmark's fc-flood shape: complete graph, constant latency, so
+# every elided copy needs no draw; stride 1 at dim 20, so trace rows are
+# evaluated in more than one block.  Pinned with flood copies decided
+# per copy and trace metrics evaluated per row.
+FC_CONSTANT_DIM20 = """\
+[run]
+seed = 3
+samples_per_node = 20
+
+[objective]
+dim = 20
+
+[topology]
+kind = fully_connected
+n = 8
+
+[timing]
+compute = constant:1.0
+latency = constant:0.01
+
+[sgd]
+eta = 0.0001
+"""
+
+# Logistic trace rows at stride 1, which the quadratic pins do not cover.
+# Pinned with the same per-row evaluation as FC_CONSTANT_DIM20.
+LOGISTIC_RING = """\
+[run]
+seed = 8
+samples_per_node = 30
+
+[objective]
+kind = logistic
+dim = 3
+rows = 40
+
+[topology]
+kind = ring
+n = 6
+
+[timing]
+compute = uniform:0.8:1.2
+latency = uniform:0.1:0.9
+
+[sgd]
+eta = 0.05
+"""
+
 # sha256 per file.  summary.txt is hashed without the traffic counters and
 # without its `kernel` line, which names the loaded kernel build.
 GOLDEN = {
@@ -148,6 +196,24 @@ GOLDEN = {
         "staleness.csv": "fbbd12098cae3d88ec859de7f1755d1f4ab411a151ed201d136210124be6a00f",
         "summary.txt": "bb58c7c3a39753400809ddad871d58866344ee863bd1a1095ee8148923f2ed04",
         "trace.csv": "a3221df30dbc301ab618f575822df7742169da03757cd2a912a4425f0e5e5c39",
+    }),
+    "fc_constant_dim20": (FC_CONSTANT_DIM20, {
+        "events.log": "2017985cbebd899c1d28859c623c0c4070a7f54ad59cd28e8b18bd7bc6238e1b",
+        "gradients.npz": "fd8ce577d825d75e6b011f99f4f3266bc5d373087718e2a5efff5a64f82c35c7",
+        "manifest.txt": "3869d5749d949b83e3557618cbcd4fadf5168958664a5884487826057dba3c87",
+        "models.npz": "86766386bcf1cd443f45c5ce3b7565fe6e88c677664c3a02ab18de63ede18627",
+        "staleness.csv": "028997c6a31ad7294da414aab695a4e2d57e1d49e2dd9fdf3fd56e908c714c07",
+        "summary.txt": "bbfdd9c8ae2cf1cf56044cd68e9ab9c8090681082a4c0cf22e8480028dece199",
+        "trace.csv": "ae85c0f50ff342378993a22ea5a3040888141193fa4d0882aea04b7859a9560a",
+    }),
+    "logistic_ring": (LOGISTIC_RING, {
+        "events.log": "cc0018d30a5d343fbbbd120d2f0a2441424fd72dc74494d1d9e28713d376941b",
+        "gradients.npz": "4ebde7457426f64d157000f60898fc8782861e8c666e69af34ba51057f0c92e0",
+        "manifest.txt": "9145b3223a4978fba513ff13ba72e717b21ef892ccfcbc213557212fde98740c",
+        "models.npz": "93f5582066c571704c6e6a7883fce9e2f242e72c79fad5383995c45347953d43",
+        "staleness.csv": "be9ea780c9d58fbf1215088206aaf5ccfe25aa6dae1389a8a2972e393fccf556",
+        "summary.txt": "6acd12b55d747ed1097c7598ca967503000006b8d162902ea440f988bd7c0b29",
+        "trace.csv": "8600d40101d5f9853e688c95727a5c3e97133a4293fc71bef53edfbe0c246b1b",
     }),
 }
 

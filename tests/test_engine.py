@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from dasgd_sim.engine import (
+    TRACE_BLOCK,
     DivergenceError,
     SimConfig,
+    TraceRow,
+    _Trace,
     gradient_seed,
     run,
     run_centralized_asgd,
@@ -251,6 +254,65 @@ def test_divergence_reported_with_location(runner):
     assert (err.node, err.step) == (node, step)
     assert err.sim_time == pytest.approx(sim_time)
     assert f"at node {node}, step {step}," in str(err)
+
+
+# The same runs with only t=0 and the last step logged: the loss is never
+# evaluated on the way, so the parameter check reports the divergence.
+PARAMETER_DIVERGENCE_AT = {
+    run: (0, 229, 77.0),
+    run_sync_baseline: (0, 88, 88.0),
+    run_centralized_asgd: (-1, 260, 87.87),
+}
+
+
+@pytest.mark.parametrize("runner", list(PARAMETER_DIVERGENCE_AT),
+                         ids=lambda fn: fn.__name__)
+def test_parameter_divergence_reported_with_location(runner):
+    cfg = constant_config(Topology.fully_connected(3), budget=100, eta=1e3,
+                          metric_stride=1000)
+    with pytest.raises(DivergenceError) as info:
+        runner(cfg)
+    err = info.value
+    node, step, sim_time = PARAMETER_DIVERGENCE_AT[runner]
+    assert (err.node, err.step) == (node, step)
+    assert err.sim_time == pytest.approx(sim_time)
+
+
+def test_pending_row_divergence_precedes_parameter_check():
+    cfg = constant_config(Topology.fully_connected(2), budget=10)
+    trace = _Trace(cfg, 4, 20)
+    trace.log(np.zeros(4), 0, 2, 1.5, 0)
+    trace.log(np.full(4, 1e200), 1, 3, 2.5, 1)   # the loss overflows
+    trace.log(np.zeros(4), 0, 4, 3.0, 0)
+    with pytest.raises(DivergenceError) as info:
+        trace.check(np.full(4, np.inf), 0, 5, 3.5)
+    assert (info.value.node, info.value.step, info.value.sim_time) == (1, 3, 2.5)
+    # Without a failing row pending, the parameter check reports itself.
+    trace = _Trace(cfg, 4, 20)
+    trace.log(np.zeros(4), 0, 2, 1.5, 0)
+    with pytest.raises(DivergenceError) as info:
+        trace.check(np.full(4, np.nan), 1, 5, 3.5)
+    assert (info.value.node, info.value.step) == (1, 5)
+    assert len(trace.rows) == 1
+
+
+def test_trace_blocks_match_one_point_metrics():
+    obj = small_quadratic(d=7)
+    cfg = constant_config(Topology.fully_connected(2), objective=obj,
+                          metric_stride=3)
+    last_t = 2 * TRACE_BLOCK * 3 + 100
+    trace = _Trace(cfg, 7, last_t)
+    rng = np.random.default_rng(2)
+    expected = []
+    for t in range(last_t + 1):
+        x = rng.standard_normal(7) * 10.0 ** rng.integers(-3, 4)
+        trace.log(x, t % 2, t, 0.5 * t, t % 2, t, 2 * t)
+        if t % 3 == 0 or t == last_t:
+            g = obj.full_gradient(x)
+            expected.append(TraceRow(t, 0.5 * t, t % 2, obj.loss(x),
+                                     float(g @ g), t, 2 * t))
+    trace.flush()
+    assert trace.rows == expected
 
 
 def test_trace_rows_start_at_zero_and_monotone_time():

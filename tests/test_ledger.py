@@ -13,6 +13,7 @@ from dasgd_sim.ledger import (
     EventLogError,
     GradientId,
     StalenessLedger,
+    StalenessRecord,
     parse_event_log,
 )
 
@@ -62,6 +63,18 @@ def test_gradient_id_semantics():
     assert (ident.producer, ident.step) == (4, 239)
     with pytest.raises(AttributeError):
         ident.step = 240
+
+
+def test_staleness_record_semantics():
+    rec = StalenessRecord(applier=2, applier_step=7, producer=1,
+                          producer_step=3, tight_size=4, loose_size=5)
+    assert rec._fields == ("applier", "applier_step", "producer",
+                           "producer_step", "tight_size", "loose_size")
+    assert rec.gradient == GradientId(1, 3)
+    assert not rec.is_self and rec._replace(applier=1).is_self
+    assert rec == StalenessRecord(2, 7, 1, 3, 4, 5)
+    with pytest.raises(AttributeError):
+        rec.tight_size = 0
 
 
 def test_tight_staleness_set_algebra():

@@ -177,3 +177,61 @@ def test_copies_the_target_holds_are_elided():
     draws = [lat.sample(ref) for _ in range(3)]
     assert net.elided_until == 1.0 + draws[2]
     assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 15, 31])
+@pytest.mark.parametrize("dist", [
+    TimeDistribution.constant(0.3),
+    TimeDistribution.uniform(0.1, 0.9),
+    TimeDistribution.exponential(0.4),
+], ids=lambda d: d.kind)
+def test_sample_many_equals_scalar_draws(dist, k):
+    # Batched latency draws stand in for scalar ones only while numpy's
+    # array draws repeat its scalar draw; a numpy that breaks that fails
+    # here, not in a pinned run directory.
+    batch, scalar = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(3):
+        assert dist.sample_many(batch, k) == [dist.sample(scalar)
+                                              for _ in range(k)]
+        assert batch.bit_generator.state == scalar.bit_generator.state
+
+
+class ScriptedExponential:
+    """A generator whose exponential draws come from a fixed script; the
+    state is the position in it."""
+
+    def __init__(self, script):
+        self.script = script
+        self.pos = 0
+
+    def exponential(self, scale, size=None):
+        k = 1 if size is None else size
+        values = [scale * v for v in self.script[self.pos:self.pos + k]]
+        self.pos += k
+        return values[0] if size is None else np.array(values)
+
+
+def test_sample_many_redraws_nonpositive_exponential():
+    dist = TimeDistribution.exponential(2.0)
+    script = [0.5, 0.0, 0.7, 0.0, 0.0, 0.2, 0.9, 0.4]
+    batch, scalar = ScriptedExponential(script), ScriptedExponential(script)
+    values = dist.sample_many(batch, 4)
+    assert values == [dist.sample(scalar) for _ in range(4)]
+    assert values == [1.0, 1.4, 0.4, 1.8]
+    assert batch.pos == scalar.pos == 7
+
+
+def test_holder_masks_across_routes():
+    # Flooding on a complete graph: each relay skips the copies whose
+    # target already accepted the gradient, whichever route reached it.
+    lat = TimeDistribution.constant(1.0)
+    net = Network(Topology.fully_connected(5), lat)
+    rng = np.random.default_rng(0)
+    first = net.disseminate(0, gid=3, now=0.0, rng=rng)
+    assert [m.to for m in first] == [1, 2, 3, 4]
+    for msg in first[:2]:
+        assert net.on_receive(msg.to, msg) == "accept"
+    relays = net.relay(1, gid=3, arrived_from=0, now=1.0, rng=rng)
+    assert [(m.to, m.deliver_at) for m in relays] == [(3, 2.0), (4, 2.0)]
+    assert net.counts() == MessageCounts(sent=6, duplicate=0, elided=1)
+    assert net.elided_until == 2.0

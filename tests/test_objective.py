@@ -77,6 +77,20 @@ def test_losses_and_gradients_match_one_point_methods(dim):
     assert np.array_equal(grads, [obj.full_gradient(x) for x in points])
     with pytest.raises(ValueError, match="dimension"):
         obj.losses_and_gradients(points[:, :-1] if dim > 1 else points[0])
+    # The logistic form loops over the one-point methods; the run's trace
+    # rows use it too.  Its last row overflows the ridge term, where
+    # `loss` raises and the batched form returns the non-finite value.
+    logi = random_logistic(rng, dim=dim)
+    points[-1] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses, grads = logi.losses_and_gradients(points)
+        assert np.array_equal(losses[:-1], [logi.loss(x) for x in points[:-1]])
+        assert not np.isfinite(losses[-1])
+        with pytest.raises(FloatingPointError):
+            logi.loss(points[-1])
+        assert np.array_equal(grads, [logi.full_gradient(x) for x in points])
+    with pytest.raises(ValueError, match="dimension"):
+        logi.losses_and_gradients(points[:, :-1] if dim > 1 else points[0])
 
 
 @pytest.mark.parametrize("seed", range(5))
