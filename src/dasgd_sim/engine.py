@@ -20,8 +20,11 @@ seed streams.
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
+from math import isfinite
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -31,7 +34,8 @@ from dasgd_sim.ledger import (
     StalenessLedger,
     StalenessRecord,
     StalenessSummary,
-    summarize_applications,
+    record_columns,
+    summarize_columns,
 )
 from dasgd_sim.netsim import (
     MessageCounts,
@@ -112,18 +116,93 @@ class TraceEvent(NamedTuple):
     gid: int
 
 
-class GradientTable:
-    """Dense store of every computed gradient's identity and vector,
-    indexed by the same ids the ledger kernel assigns."""
+EVENT_KINDS = ("compute", "apply", "send", "deliver", "duplicate")
+EV_COMPUTE, EV_APPLY, EV_SEND, EV_DELIVER, EV_DUPLICATE = range(5)
+
+
+class _ColumnView(Sequence):
+    """A read-only sequence whose item i is `_row` applied to entry i of
+    each column.  Equal to another view of its type with equal columns,
+    or to a list or tuple of the same items."""
+
+    __hash__ = None
+    _columns: tuple
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return self._row(*(column[index] for column in self._columns))
+
+    def __iter__(self):
+        return map(self._row, *self._columns)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._columns == other._columns
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+class EventLog(_ColumnView):
+    """The protocol trace of a peer run: one entry per compute, apply,
+    send, deliver and duplicate, kept as a time (`d`), a kind code (`b`,
+    an index into EVENT_KINDS), a node and a gid (`q`), 25 bytes an
+    event.  Items are `TraceEvent`s."""
 
     def __init__(self):
+        self.time = array("d")
+        self.kind = array("b")
+        self.node = array("q")
+        self.gid = array("q")
+        self._columns = (self.time, self.kind, self.node, self.gid)
+
+    @staticmethod
+    def _row(time, code, node, gid):
+        return TraceEvent(time, EVENT_KINDS[code], node, gid)
+
+    def add(self, time: float, code: int, node: int, gid: int) -> None:
+        self.time.append(time)
+        self.kind.append(code)
+        self.node.append(node)
+        self.gid.append(gid)
+
+
+class StalenessLog(_ColumnView):
+    """(sim_time, StalenessRecord) per application, in application
+    order: a view over an `array('d')` of application times and the six
+    record columns of `ledger.record_columns`, which for a ledger run are
+    the ledger's own."""
+
+    def __init__(self, times: array, columns: tuple):
+        self.times = times
+        self.columns = columns
+        self._columns = (times,) + columns
+
+    @staticmethod
+    def _row(time, *fields):
+        return (time, StalenessRecord(*fields))
+
+
+class GradientTable:
+    """Dense store of every computed gradient's identity, vector and
+    update (eta times the vector: what an application subtracts),
+    indexed by the same ids the ledger kernel assigns."""
+
+    def __init__(self, eta: float):
+        self.eta = eta
         self.ids: list[GradientId] = []
         self.vectors: list[np.ndarray] = []
+        self.updates: list[np.ndarray] = []
 
     def add(self, ident: GradientId, vector: np.ndarray) -> int:
         gid = len(self.vectors)
         self.ids.append(ident)
         self.vectors.append(vector)
+        self.updates.append(self.eta * vector)
         return gid
 
     def __len__(self) -> int:
@@ -147,8 +226,8 @@ class RunResult:
     config: SimConfig
     start: np.ndarray
     rows: list
-    staleness_log: list                      # (sim_time, StalenessRecord)
-    events: list
+    staleness_log: StalenessLog
+    events: EventLog                         # empty for the baselines
     table: GradientTable
     final_models: np.ndarray                 # one row per model replica
     total_time: float
@@ -236,8 +315,14 @@ class _Trace:
             self.flush()
 
     def check(self, x, label: int, t: int, now: float) -> None:
-        """Parameters that left the finite range after step t diverged."""
-        if not np.isfinite(x).all():
+        """Parameters that left the finite range after step t diverged.
+
+        A sum is not finite whenever an entry is not, so the entries are
+        tested one by one only when the sum is not finite; finite entries
+        whose sum overflows pass.  Callers run under an errstate that
+        ignores overflow.
+        """
+        if not isfinite(np.add.reduce(x)) and not np.isfinite(x).all():
             self.flush()
             raise DivergenceError(label, t, now, self._eta)
 
@@ -273,14 +358,14 @@ def run(config: SimConfig) -> RunResult:
 
     ledger = StalenessLedger(n)
     network = Network(config.topology, config.latency)
-    table = GradientTable()
+    table = GradientTable(eta)
     params = [x0.copy() for _ in range(n)]
     inbox = [deque() for _ in range(n)]
     budget = [config.samples_per_node] * n
 
     trace = _Trace(config, x0.shape[0], total_expected)
-    staleness_log: list = []
-    events: list[TraceEvent] = []
+    times = array("d")          # sim time of each application
+    events = EventLog()
 
     heap: list = []
     seq = 0
@@ -290,18 +375,22 @@ def run(config: SimConfig) -> RunResult:
         heapq.heappush(heap, (time, kind, node, seq, payload))
         seq += 1
 
+    record = ledger.record_application
+    ids, updates = table.ids, table.updates
+    add_event, add_time = events.add, times.append
+    check, log = trace.check, trace.log
+
     def apply_one(node, gid, now, arrived_from):
-        rec = ledger.record_application(node, table.ids[gid])
-        params[node] -= eta * table.vectors[gid]
-        staleness_log.append((now, rec))
-        events.append(TraceEvent(now, "apply", node, gid))
-        t = rec.applier_step + 1
-        trace.check(params[node], node, t, now)
-        trace.log(params[node], node, t, now, node, rec.tight_size,
-                  rec.loose_size)
+        _, step, _, _, tight, loose = record(node, ids[gid])
+        x = params[node]
+        x -= updates[gid]
+        add_time(now)
+        add_event(now, EV_APPLY, node, gid)
+        check(x, node, step + 1, now)
+        log(x, node, step + 1, now, node, tight, loose)
         if arrived_from is not None:
             for msg in network.relay(node, gid, arrived_from, now, rng_time):
-                events.append(TraceEvent(now, "send", node, msg.gid))
+                add_event(now, EV_SEND, node, gid)
                 schedule(msg.deliver_at, DELIVER, msg.to, msg)
 
     def on_compute_done(node, now):
@@ -316,10 +405,10 @@ def run(config: SimConfig) -> RunResult:
             params[node], gradient_seed(config.seed, node, ident.step)
         )
         gid = table.add(ident, np.asarray(vector, dtype=float))
-        events.append(TraceEvent(now, "compute", node, gid))
+        add_event(now, EV_COMPUTE, node, gid)
         apply_one(node, gid, now, None)
         for msg in network.disseminate(node, gid, now, rng_time):
-            events.append(TraceEvent(now, "send", node, msg.gid))
+            add_event(now, EV_SEND, node, gid)
             schedule(msg.deliver_at, DELIVER, msg.to, msg)
         budget[node] -= 1
         if budget[node] > 0:
@@ -327,11 +416,10 @@ def run(config: SimConfig) -> RunResult:
             schedule(now + duration, COMPUTE_DONE, node, None)
 
     def on_deliver(node, msg, now):
-        status = network.on_receive(node, msg)
-        events.append(TraceEvent(now, status if status == "duplicate" else "deliver",
-                                 node, msg.gid))
-        if status == "duplicate":
+        if network.on_receive(node, msg) == "duplicate":
+            add_event(now, EV_DUPLICATE, node, msg.gid)
             return
+        add_event(now, EV_DELIVER, node, msg.gid)
         if budget[node] > 0:
             inbox[node].append((msg.gid, msg.sender))
         else:
@@ -368,7 +456,7 @@ def run(config: SimConfig) -> RunResult:
         config=config,
         start=x0,
         rows=trace.rows,
-        staleness_log=staleness_log,
+        staleness_log=StalenessLog(times, ledger.columns),
         events=events,
         table=table,
         final_models=np.stack(params),
@@ -392,11 +480,11 @@ def run_sync_baseline(config: SimConfig) -> RunResult:
     rounds = config.samples_per_node
 
     ledger = StalenessLedger(1)
-    table = GradientTable()
+    table = GradientTable(eta)
     x = x0.copy()
     now = 0.0
     trace = _Trace(config, x0.shape[0], rounds)
-    staleness_log: list = []
+    times = array("d")
 
     trace.log(x, 0, 0, 0.0, 0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -412,11 +500,11 @@ def run_sync_baseline(config: SimConfig) -> RunResult:
             now += max(durations)
             averaged = grads.mean(axis=0)
             ident = ledger.record_compute(0)
-            table.add(ident, averaged)
+            gid = table.add(ident, averaged)
             rec = ledger.record_application(0, ident)
-            x -= eta * averaged
+            x -= table.updates[gid]
             trace.check(x, 0, r + 1, now)
-            staleness_log.append((now, rec))
+            times.append(now)
             trace.log(x, 0, r + 1, now, 0, rec.tight_size, rec.loose_size)
     trace.flush()
 
@@ -425,8 +513,8 @@ def run_sync_baseline(config: SimConfig) -> RunResult:
         config=config,
         start=x0,
         rows=trace.rows,
-        staleness_log=staleness_log,
-        events=[],
+        staleness_log=StalenessLog(times, ledger.columns),
+        events=EventLog(),
         table=table,
         final_models=x[np.newaxis, :],
         total_time=now,
@@ -453,7 +541,7 @@ def run_centralized_asgd(config: SimConfig) -> RunResult:
     eta = config.eta
     last_t = n * config.samples_per_node
 
-    table = GradientTable()
+    table = GradientTable(eta)
     server = x0.copy()
     server_set: set = set()
     update_count = 0
@@ -464,7 +552,8 @@ def run_centralized_asgd(config: SimConfig) -> RunResult:
     pushes_done = [0] * n
 
     trace = _Trace(config, x0.shape[0], last_t)
-    staleness_log: list = []
+    times = array("d")
+    columns = record_columns()
     delay_pairs: list = []
     heap: list = []
     seq = 0
@@ -495,20 +584,16 @@ def run_centralized_asgd(config: SimConfig) -> RunResult:
             # Route two: the actual sets.
             diff = len(server_set ^ fetched_set[worker])
             delay_pairs.append((delay, diff))
-            server -= eta * np.asarray(vector, dtype=float)
+            gid = table.add(ident, np.asarray(vector, dtype=float))
+            server -= table.updates[gid]
             trace.check(server, -1, update_count + 1, now)
-            table.add(ident, np.asarray(vector, dtype=float))
             server_set.add(ident)
+            times.append(now)
+            for column, value in zip(columns, StalenessRecord(
+                    applier=-1, applier_step=update_count, producer=worker,
+                    producer_step=step, tight_size=diff, loose_size=diff)):
+                column.append(value)
             update_count += 1
-            rec = StalenessRecord(
-                applier=-1,
-                applier_step=update_count - 1,
-                producer=worker,
-                producer_step=step,
-                tight_size=diff,
-                loose_size=diff,
-            )
-            staleness_log.append((now, rec))
             trace.log(server, -1, update_count, now, worker, diff, diff)
             pushes_done[worker] = step + 1
             fetched_params[worker] = server.copy()
@@ -523,16 +608,14 @@ def run_centralized_asgd(config: SimConfig) -> RunResult:
         config=config,
         start=x0,
         rows=trace.rows,
-        staleness_log=staleness_log,
-        events=[],
+        staleness_log=StalenessLog(times, columns),
+        events=EventLog(),
         table=table,
         final_models=server[np.newaxis, :],
         total_time=now,
         gradients_computed=update_count,
         # Every record has applier -1, so the worst-node average is the
         # global one.
-        summary=summarize_applications(
-            (r.applier, r.producer, r.tight_size, r.loose_size)
-            for _, r in staleness_log),
+        summary=summarize_columns(columns),
         delay_pairs=delay_pairs,
     )

@@ -31,8 +31,9 @@ the applier's set, so the two ends per producer decide it.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple, Union
+from typing import IO, Iterable, Iterator, NamedTuple
 
 
 class GradientId(NamedTuple):
@@ -114,6 +115,18 @@ def summarize_applications(events: Iterable[tuple]) -> StalenessSummary:
         n_events=n_events,
         n_foreign=sum(c for _, _, c in sums.values()),
     )
+
+
+def record_columns() -> tuple:
+    """Six empty `array('q')` columns, one per `StalenessRecord` field in
+    field order: application i is entry i of each."""
+    return tuple(array("q") for _ in StalenessRecord._fields)
+
+
+def summarize_columns(columns: tuple) -> StalenessSummary:
+    """`summarize_applications` over applications kept in columns."""
+    applier, _, producer, _, tight, loose = columns
+    return summarize_applications(zip(applier, producer, tight, loose))
 
 
 class StalenessKernel:
@@ -252,6 +265,13 @@ class StalenessLedger:
 
     The simulation loop owns the ledger and mutates it sequentially;
     summaries and records handed out are immutable.
+
+    Each application is stored once, as one entry in each of the six
+    `columns` (`record_columns`, 48 bytes), plus one entry in the event
+    order column, which holds the application's index for an APPLY and
+    -1 - gid for a COMPUTE.  `records` builds the record objects on
+    demand.  `columns` are for reading: appending to them breaks the
+    ledger.
     """
 
     def __init__(self, n_nodes: int):
@@ -260,8 +280,10 @@ class StalenessLedger:
         self._kernel = StalenessKernel(n_nodes)
         self._ids: list[GradientId] = []          # dense gid -> identity
         self._gids: dict[GradientId, int] = {}
-        self._records: list[StalenessRecord] = []
-        self._events: list[Union[GradientId, StalenessRecord]] = []
+        self._node_steps = [0] * n_nodes          # node -> applications
+        self.columns = record_columns()
+        self._order = array("q")
+        self._append = tuple(column.append for column in self.columns)
 
     @property
     def n_nodes(self) -> int:
@@ -272,13 +294,17 @@ class StalenessLedger:
         return self._kernel.n_gradients
 
     @property
+    def n_applications(self) -> int:
+        return len(self.columns[0])
+
+    @property
     def records(self) -> list[StalenessRecord]:
-        return list(self._records)
+        return list(map(StalenessRecord, *self.columns))
 
     def record_compute(self, producer: int) -> GradientId:
         """Register a gradient the producer just finished computing.  Its
         snapshot is the producer's current applied set."""
-        ident = GradientId(producer, self._kernel.node_size(producer))
+        ident = GradientId(producer, self.node_step(producer))
         if ident in self._gids:
             raise ValueError(
                 f"{ident} already registered; a node must apply its own "
@@ -287,7 +313,7 @@ class StalenessLedger:
         gid = self._kernel.register_gradient(producer)
         self._ids.append(ident)
         self._gids[ident] = gid
-        self._events.append(ident)
+        self._order.append(-1 - gid)
         return ident
 
     def record_application(self, applier: int, gradient: GradientId) -> StalenessRecord:
@@ -300,19 +326,21 @@ class StalenessLedger:
         gid = self._gids.get(gradient)
         if gid is None:
             raise ValueError(f"{gradient} was never computed")
-        applier_step = self._kernel.node_size(applier)
+        # The kernel checks the applier's range before anything is kept.
         tight, loose = self._kernel.apply_gradient(applier, gid)
-        record = StalenessRecord(
-            applier=applier,
-            applier_step=applier_step,
-            producer=gradient.producer,
-            producer_step=gradient.step,
-            tight_size=tight,
-            loose_size=loose,
-        )
-        self._records.append(record)
-        self._events.append(record)
-        return record
+        step = self._node_steps[applier]
+        self._node_steps[applier] = step + 1
+        producer, pstep = gradient
+        applier_col, step_col, producer_col, pstep_col, tight_col, \
+            loose_col = self._append
+        self._order.append(len(self.columns[0]))
+        applier_col(applier)
+        step_col(step)
+        producer_col(producer)
+        pstep_col(pstep)
+        tight_col(tight)
+        loose_col(loose)
+        return StalenessRecord(applier, step, producer, pstep, tight, loose)
 
     def applied_set(self, node: int) -> frozenset:
         return frozenset(self._ids[g] for g in self._kernel.node_members(node))
@@ -324,15 +352,16 @@ class StalenessLedger:
         return frozenset(self._ids[g] for g in self._kernel.snapshot_members(gid))
 
     def node_step(self, node: int) -> int:
-        return self._kernel.node_size(node)
+        """Applications so far at `node`: the size of its applied set."""
+        if not 0 <= node < len(self._node_steps):
+            raise IndexError(f"node {node} out of range")
+        return self._node_steps[node]
 
     def summarize(self) -> StalenessSummary:
         """Aggregate the per-event records with `summarize_applications`."""
-        if not self._records:
+        if not self.n_applications:
             raise ValueError("no applications recorded")
-        return summarize_applications(
-            (r.applier, r.producer, r.tight_size, r.loose_size)
-            for r in self._records)
+        return summarize_columns(self.columns)
 
     # Event-log export/import.  Line format:
     #   COMPUTE node step
@@ -340,14 +369,12 @@ class StalenessLedger:
     # with steps validated on replay.
 
     def export_events(self, stream: IO[str]) -> None:
-        for ev in self._events:
-            if isinstance(ev, GradientId):
-                stream.write(f"COMPUTE {ev.producer} {ev.step}\n")
-            else:
-                stream.write(
-                    f"APPLY {ev.applier} {ev.applier_step} "
-                    f"{ev.producer} {ev.producer_step}\n"
-                )
+        ids = self._ids
+        applier, step, producer, pstep = self.columns[:4]
+        stream.writelines(
+            f"APPLY {applier[k]} {step[k]} {producer[k]} {pstep[k]}\n"
+            if k >= 0 else "COMPUTE %d %d\n" % ids[-1 - k]
+            for k in self._order)
 
     @classmethod
     def replay(cls, lines: Iterable[str], n_nodes: int = None) -> "StalenessLedger":

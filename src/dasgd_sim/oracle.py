@@ -186,11 +186,11 @@ def check_log(lines: Iterable[str],
         brute = DenseReplay(events, ledger.n_nodes)
     else:
         ledger = StalenessLedger.from_events(brute.events)
-    inc = ledger.records
-    if len(inc) != brute.n_applications:
+    if ledger.n_applications != brute.n_applications:
         raise EventLogError(0, "replay routes disagree on event count")
-    inc_tight = np.array([rec.tight_size for rec in inc], dtype=np.int64)
-    inc_loose = np.array([rec.loose_size for rec in inc], dtype=np.int64)
+    _, _, _, _, tight, loose = ledger.columns
+    inc_tight = np.frombuffer(tight, dtype=np.int64)
+    inc_loose = np.frombuffer(loose, dtype=np.int64)
     mismatches = []
     for k in np.flatnonzero((inc_tight != brute.tight)
                             | (inc_loose != brute.loose)):

@@ -113,28 +113,29 @@ def write_run_dir(out_dir: str, effective: ExperimentConfig,
         fh.write(effective.canonical())
 
 
+# Rows are formatted with one f-string each; a float field's `.12g` is
+# what `fmt` writes for it.
+
 def _write_trace(path, run_id, effective, result):
-    eta = result.config.eta
-    head = (run_id, result.mode, effective.topology_kind,
-            str(effective.n), fmt(eta), str(effective.seed))
+    head = (f"{run_id},{result.mode},{effective.topology_kind},"
+            f"{effective.n},{fmt(result.config.eta)},{effective.seed}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for row in result.rows:
-            fh.write(",".join(head + (
-                str(row.t), fmt(row.sim_time), str(row.node), fmt(row.loss),
-                fmt(row.grad_norm_sq), str(row.tight), str(row.loose),
-            )) + "\n")
+        fh.writelines(
+            f"{head},{t},{sim_time:.12g},{node},{loss:.12g},{gsq:.12g},"
+            f"{tight},{loose}\n"
+            for t, sim_time, node, loss, gsq, tight, loose in result.rows)
 
 
 def _write_staleness(path, run_id, result):
+    log = result.staleness_log
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(STALENESS_COLUMNS) + "\n")
-        for sim_time, rec in result.staleness_log:
-            fh.write(",".join((
-                run_id, fmt(sim_time), str(rec.applier), str(rec.applier_step),
-                str(rec.producer), str(rec.producer_step),
-                str(rec.tight_size), str(rec.loose_size),
-            )) + "\n")
+        fh.writelines(
+            f"{run_id},{sim_time:.12g},{applier},{step},{producer},"
+            f"{pstep},{tight},{loose}\n"
+            for sim_time, applier, step, producer, pstep, tight, loose
+            in zip(log.times, *log.columns))
 
 
 def _write_gradients(path, result):

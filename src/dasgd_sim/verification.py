@@ -190,9 +190,11 @@ def _check_rate_bound(config, trace, staleness, gradients, models):
                            f"eta {eta:.6g} above the stepsize rule {rule:.6g}")
     worst_margin = np.inf
     checked = 0
-    for node in sorted({row["node"] for row in trace}):
-        rows = sorted((r for r in trace if r["node"] == node),
-                      key=lambda r: r["t"])
+    by_node: dict = {}
+    for row in trace:
+        by_node.setdefault(row["node"], []).append(row)
+    for node in sorted(by_node):
+        rows = sorted(by_node[node], key=lambda r: r["t"])
         for row, psi in zip(rows, running_psi(r["grad_norm_sq"] for r in rows)):
             bound = rate_bound_bounded_gradients(inputs, row["t"])
             checked += 1

@@ -7,7 +7,10 @@ import pytest
 from dasgd_sim.engine import (
     TRACE_BLOCK,
     DivergenceError,
+    EventLog,
     SimConfig,
+    StalenessLog,
+    TraceEvent,
     TraceRow,
     _Trace,
     gradient_seed,
@@ -15,7 +18,7 @@ from dasgd_sim.engine import (
     run_centralized_asgd,
     run_sync_baseline,
 )
-from dasgd_sim.ledger import GradientId
+from dasgd_sim.ledger import GradientId, StalenessRecord
 from dasgd_sim.netsim import MessageCounts, TimeDistribution, Topology
 from dasgd_sim.objective import QuadraticObjective
 from dasgd_sim.oracle import check_log
@@ -294,6 +297,75 @@ def test_pending_row_divergence_precedes_parameter_check():
         trace.check(np.full(4, np.nan), 1, 5, 3.5)
     assert (info.value.node, info.value.step) == (1, 5)
     assert len(trace.rows) == 1
+
+
+def test_parameter_check_screens_with_the_sum():
+    cfg = constant_config(Topology.fully_connected(2), budget=10)
+    trace = _Trace(cfg, 2, 20)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Finite entries whose sum overflows are not divergence.
+        trace.check(np.array([1e308, 1e308]), 0, 1, 0.5)
+        trace.check(np.array([-1e308, -1e308]), 0, 2, 0.75)
+        # One non-finite entry is, at the location given; opposite
+        # infinities sum to nan.
+        for bad in ([1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf],
+                    [np.inf, -np.inf]):
+            with pytest.raises(DivergenceError) as info:
+                trace.check(np.array(bad), 1, 7, 2.5)
+            err = info.value
+            assert (err.node, err.step, err.sim_time) == (1, 7, 2.5)
+
+
+def test_event_log_view_matches_trace_events():
+    res = run(constant_config(Topology.fully_connected(2), budget=1))
+    events = res.events
+    assert isinstance(events, EventLog)
+    # Compute, self-apply and send at t=1; each copy lands and is applied
+    # at t=1.01, node 0 first.
+    want = [
+        TraceEvent(1.0, "compute", 0, 0), TraceEvent(1.0, "apply", 0, 0),
+        TraceEvent(1.0, "send", 0, 0), TraceEvent(1.0, "compute", 1, 1),
+        TraceEvent(1.0, "apply", 1, 1), TraceEvent(1.0, "send", 1, 1),
+        TraceEvent(1.01, "deliver", 0, 1), TraceEvent(1.01, "apply", 0, 1),
+        TraceEvent(1.01, "deliver", 1, 0), TraceEvent(1.01, "apply", 1, 0),
+    ]
+    assert len(events) == len(want)
+    assert list(events) == want
+    assert events == want and want == events
+    assert events == tuple(want)
+    assert events[0] == want[0] and events[-1] == want[-1]
+    assert events[2:5] == want[2:5]
+    assert events != want[:-1]
+    assert events != want[:-1] + [want[-1]._replace(kind="duplicate")]
+    assert events == run(constant_config(Topology.fully_connected(2),
+                                         budget=1)).events
+    with pytest.raises(IndexError):
+        events[len(want)]
+    assert [e.kind for e in events].count("apply") == 4
+    assert len(run_sync_baseline(constant_config(
+        Topology.fully_connected(2), budget=3)).events) == 0
+
+
+@pytest.mark.parametrize("runner", [run, run_sync_baseline,
+                                    run_centralized_asgd],
+                         ids=lambda fn: fn.__name__)
+def test_staleness_log_view_matches_record_pairs(runner):
+    res = runner(jittered_config(Topology.ring(3), budget=6))
+    log = res.staleness_log
+    assert isinstance(log, StalenessLog)
+    pairs = list(log)
+    assert len(log) == len(pairs) == len(log.times)
+    assert all(isinstance(t, float) and type(rec) is StalenessRecord
+               for t, rec in pairs)
+    assert [log[k] for k in range(len(log))] == pairs
+    assert log[-1] == pairs[-1] and log[1:4] == pairs[1:4]
+    assert log == pairs and pairs == log
+    assert log != pairs[:-1]
+    assert log != pairs[:-1] + [(pairs[-1][0] + 1.0, pairs[-1][1])]
+    times = [t for t, _ in pairs]
+    assert times == sorted(times)
+    if res.ledger is not None:
+        assert [rec for _, rec in pairs] == res.ledger.records
 
 
 def test_trace_blocks_match_one_point_metrics():

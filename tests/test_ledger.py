@@ -112,6 +112,50 @@ def test_hand_log_records():
     assert ledger.snapshot(C) == frozenset([A, B])
 
 
+# Every field of every APPLY line's record, in order.
+HAND_RECORDS = [
+    StalenessRecord(0, 0, 0, 0, 0, 0),
+    StalenessRecord(1, 0, 1, 0, 0, 0),
+    StalenessRecord(1, 1, 0, 0, 1, 1),
+    StalenessRecord(1, 2, 1, 2, 0, 0),
+    StalenessRecord(0, 1, 1, 2, 1, 2),
+    StalenessRecord(0, 2, 1, 0, 2, 2),
+    StalenessRecord(2, 0, 1, 2, 2, 2),
+    StalenessRecord(2, 1, 0, 0, 1, 1),
+    StalenessRecord(2, 2, 1, 0, 2, 2),
+]
+
+
+def test_hand_log_full_records_and_columns():
+    ledger = StalenessLedger.replay(io.StringIO(HAND_LOG))
+    assert ledger.records == HAND_RECORDS
+    assert all(type(rec) is StalenessRecord for rec in ledger.records)
+    assert ledger.n_applications == len(HAND_RECORDS)
+    assert [list(column) for column in ledger.columns] == [
+        list(field) for field in zip(*HAND_RECORDS)]
+    assert [ledger.node_step(i) for i in range(3)] == [3, 3, 3]
+    out = io.StringIO()
+    ledger.export_events(out)
+    assert out.getvalue() == HAND_LOG
+    # The list handed out is a copy.
+    ledger.records.clear()
+    assert ledger.records == HAND_RECORDS
+
+
+def test_node_step_counts_applications():
+    ledger = StalenessLedger(2)
+    g = ledger.record_compute(1)
+    assert [ledger.node_step(i) for i in range(2)] == [0, 0]
+    ledger.record_application(1, g)
+    assert [ledger.node_step(i) for i in range(2)] == [0, 1]
+    ledger.record_application(0, g)
+    assert [ledger.node_step(i) for i in range(2)] == [1, 1]
+    assert ledger.record_compute(1) == GradientId(1, 1)
+    for node in (-1, 2):
+        with pytest.raises(IndexError):
+            ledger.node_step(node)
+
+
 def test_hand_log_summary():
     ledger = StalenessLedger.replay(io.StringIO(HAND_LOG))
     summary = ledger.summarize()
