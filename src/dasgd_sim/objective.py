@@ -90,7 +90,12 @@ class QuadraticObjective:
             losses = 0.5 * (r[:, None, :] @ grads[:, :, None])[:, 0, 0]
         return losses, grads
 
-    def stochastic_gradient(self, x, seed: int):
+    @property
+    def draws_from_seed(self) -> bool:
+        """Whether `stochastic_gradient` reads its seed: only with noise."""
+        return self.noise_sigma > 0.0
+
+    def stochastic_gradient(self, x, seed: int | None):
         g = self.full_gradient(x)
         if self.noise_sigma == 0.0:
             return g
@@ -131,6 +136,7 @@ class LogisticObjective:
     drawn row."""
 
     kind = "logistic"
+    draws_from_seed = True      # every stochastic gradient draws a row
 
     def __init__(self, features, labels, ridge: float = 0.0):
         features = np.array(features, dtype=float)

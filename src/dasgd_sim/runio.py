@@ -26,10 +26,12 @@ from dasgd_sim import KERNEL_IMPL
 from dasgd_sim.config import ConfigError, ExperimentConfig
 from dasgd_sim.engine import (
     RunResult,
-    SimConfig,
     run,
     run_centralized_asgd,
     run_sync_baseline,
+    schedule,
+    schedule_centralized,
+    schedule_sync,
 )
 from dasgd_sim.theory import (
     gradient_bound,
@@ -53,9 +55,14 @@ _RUNNERS = {
     "sync": run_sync_baseline,
     "centralized_asgd": run_centralized_asgd,
 }
+_SCHEDULES = {
+    "dasgd": schedule,
+    "sync": schedule_sync,
+    "centralized_asgd": schedule_centralized,
+}
 
-# Staleness timing is independent of the stepsize, so the pilot can use
-# a stepsize too small to ever diverge.
+# The pilot runs only the schedule, which reads no stepsize; the config
+# still needs a valid one.
 _PILOT_ETA = 1e-12
 
 
@@ -67,18 +74,17 @@ def fmt(value) -> str:
 
 def resolve_eta(config: ExperimentConfig) -> tuple:
     """(eta, source).  When the config leaves eta out, measure average
-    staleness on a short pilot and apply the stepsize rule to it."""
+    staleness on the schedule of a short pilot, a tenth of the budget,
+    and apply the stepsize rule to it."""
     if config.eta is not None:
         return config.eta, "config"
     pilot_budget = max(1, config.samples_per_node // 10)
-    pilot = replace(config, samples_per_node=pilot_budget,
-                    metric_stride=pilot_budget * config.n + 1)
-    sim = pilot.sim_config(eta=_PILOT_ETA)
-    result = _RUNNERS[config.mode](sim)
-    lipschitz = sim.objective.lipschitz_constant()
-    eta = stepsize_bound_tight(lipschitz, result.summary.tight_avg)
+    sim = replace(config, samples_per_node=pilot_budget).sim_config(
+        eta=_PILOT_ETA)
+    tight_avg = _SCHEDULES[config.mode](sim).summary.tight_avg
+    eta = stepsize_bound_tight(sim.objective.lipschitz_constant(), tight_avg)
     return eta, (f"pilot ({pilot_budget} samples/node, measured "
-                 f"tight_avg {fmt(result.summary.tight_avg)})")
+                 f"tight_avg {fmt(tight_avg)})")
 
 
 def execute(config: ExperimentConfig, replica: int = 0):
@@ -140,13 +146,10 @@ def _write_staleness(path, run_id, result):
 
 def _write_gradients(path, result):
     table = result.table
-    dim = result.start.shape[0]
-    vectors = (np.stack(table.vectors) if table.vectors
-               else np.zeros((0, dim)))
     np.savez(path,
              producers=np.array([i.producer for i in table.ids], dtype=np.int64),
              steps=np.array([i.step for i in table.ids], dtype=np.int64),
-             vectors=vectors)
+             vectors=table.vectors)
 
 
 def psi_final(result: RunResult) -> float:

@@ -5,7 +5,9 @@ definitions: `tight_staleness`, `loose_staleness` (an id-level fixed
 point), `naive_loose_staleness` (the recursion expanded term by term)
 and `LiteralReplay`, which replays an event log with frozensets.  The
 program's kernel and its dense brute-force replay are checked against
-them.
+them, and the parameter server's counter delay against
+`server_set_differences`.  `reconstruct` rebuilds a model from a run's
+gradient table in a canonical order.
 """
 
 from dataclasses import dataclass
@@ -32,6 +34,41 @@ def relative_error(got, want):
     want = np.asarray(want, dtype=float)
     scale = max(1.0, float(np.linalg.norm(want)))
     return float(np.linalg.norm(got - want)) / scale
+
+
+def canonical_order(table, gids) -> list:
+    """Ids sorted by (producer, step): the shared summation order that
+    makes equal sets reconstruct bit-identical models."""
+    return sorted(gids, key=lambda g: table.ids[g])
+
+
+def reconstruct(table, x0, eta, gids):
+    """x0 minus eta times the sum of the table's vectors for `gids`,
+    summed in canonical order."""
+    total = np.zeros_like(x0)
+    for g in canonical_order(table, gids):
+        total += table.vectors[g]
+    return x0 - eta * total
+
+
+def server_set_differences(columns) -> list:
+    """|server's applied set ^ the pushing worker's fetched set| for each
+    application of a parameter-server run, from its staleness columns in
+    application order, with Python sets.
+
+    The server's set before application k holds the gradients of
+    applications 0..k-1.  A worker's fetched set is the server's set just
+    after that worker's previous push, and empty before its first.
+    """
+    _, _, producers, steps, _, _ = columns
+    server: set = set()
+    fetched: dict = {}
+    out = []
+    for worker, step in zip(producers, steps):
+        out.append(len(server ^ fetched.get(worker, frozenset())))
+        server.add(GradientId(worker, step))
+        fetched[worker] = frozenset(server)
+    return out
 
 
 def tight_staleness(first: frozenset, second: frozenset) -> frozenset:

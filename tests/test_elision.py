@@ -158,6 +158,55 @@ latency = uniform:0.1:0.9
 eta = 0.05
 """
 
+# The benchmark's ring-async shape at small size, with thinned trace rows:
+# stride 7 logs steps that fall between the per-node batches of
+# applications.  Pinned while each application was applied on its own.
+RING_ASYNC_STRIDE7 = """\
+[run]
+seed = 3
+samples_per_node = 40
+metric_stride = 7
+
+[objective]
+dim = 20
+
+[topology]
+kind = ring
+n = 8
+
+[timing]
+compute = uniform:0.8:1.2
+latency = exponential:1.0
+
+[sgd]
+eta = 0.001
+"""
+
+# One straggler 100x slower than its peers: at its first compute, node 11
+# applies 1,090 gradients at one instant, more than one trace block of
+# rows at stride 1.  Pinned with the same per-application arithmetic as
+# RING_ASYNC_STRIDE7.
+FC_STRAGGLER = """\
+[run]
+seed = 1
+samples_per_node = 100
+
+[objective]
+dim = 20
+
+[topology]
+kind = fully_connected
+n = 12
+
+[timing]
+compute = constant:1.0
+latency = constant:0.01
+compute_scale = 1,1,1,1,1,1,1,1,1,1,1,100
+
+[sgd]
+eta = 0.001
+"""
+
 # sha256 per file.  summary.txt is hashed without the traffic counters and
 # without its `kernel` line, which names the loaded kernel build.
 GOLDEN = {
@@ -214,6 +263,24 @@ GOLDEN = {
         "staleness.csv": "be9ea780c9d58fbf1215088206aaf5ccfe25aa6dae1389a8a2972e393fccf556",
         "summary.txt": "6acd12b55d747ed1097c7598ca967503000006b8d162902ea440f988bd7c0b29",
         "trace.csv": "8600d40101d5f9853e688c95727a5c3e97133a4293fc71bef53edfbe0c246b1b",
+    }),
+    "ring_async_stride7": (RING_ASYNC_STRIDE7, {
+        "events.log": "71580b8602a4da90c1f09299d8696471da11889e7bd74d6bbf48d0fa56802247",
+        "gradients.npz": "1a1ee25d9bced7bf4de8e29cb82b00f56b723760917ac0f638ee83f451a44bbc",
+        "manifest.txt": "44a6b0eee699b03abc6ba191b75dfb904a2b17946e656d48491811d58127372e",
+        "models.npz": "200b2ee13045c20576cba3c436833a52d3041f918c4bf1db5676ba479b06fa31",
+        "staleness.csv": "b0eb966576a1354d1842e214afd6d9aa5460dff0d4148d02a2169859b1d861f7",
+        "summary.txt": "23be343f03ee2299d3f4ea2e10ea83d5e6435f342163e4a5358cc95a117119ba",
+        "trace.csv": "76a69850fdd19fb82a7823e8a19651d6930c10bd489aaeaddc9188693cfd16c2",
+    }),
+    "fc_straggler": (FC_STRAGGLER, {
+        "events.log": "037c16de610389b484a59bdc724e1f6264d3919e7072586e8f3d7bdb42b60d8c",
+        "gradients.npz": "a31f9a485b3997a42910c9a6dd3b9f65b3682c54695fb0f032ce3473588f091d",
+        "manifest.txt": "53cc9d11dd1e43d04f82bb541578fb7a255cc83c59f321649f9144761ea044ac",
+        "models.npz": "99d6e288914224e507cff60b1d34d4751eb0bbd9d1c825363fcd6983f747b388",
+        "staleness.csv": "5029da7a5e503dc7c5d7e60644e5d9e2ca7ccc854895af6a75b79aecd306f05e",
+        "summary.txt": "9d0a6deb7aaa302a460c511783a91a87fb88f514bab215461a69a9d079eb5547",
+        "trace.csv": "5637aba9cc8bb8f47c8b01769d8f34480699ededc512133700dd1ec1ea5fb1f5",
     }),
 }
 

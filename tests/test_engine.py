@@ -17,11 +17,16 @@ from dasgd_sim.engine import (
     run,
     run_centralized_asgd,
     run_sync_baseline,
+    schedule,
+    schedule_centralized,
+    schedule_sync,
 )
 from dasgd_sim.ledger import GradientId, StalenessRecord
 from dasgd_sim.netsim import MessageCounts, TimeDistribution, Topology
 from dasgd_sim.objective import QuadraticObjective
 from dasgd_sim.oracle import check_log
+
+from oracles import reconstruct, server_set_differences
 
 
 def small_quadratic(d=4, seed=5, sigma=0.0):
@@ -145,7 +150,7 @@ def test_final_agreement_and_reconstruction():
         sets = [res.ledger.applied_set(i) for i in range(n)]
         assert all(s == sets[0] for s in sets)
         gids = range(len(res.table))
-        recon = [res.table.reconstruct(res.start, res.config.eta, gids)
+        recon = [reconstruct(res.table, res.start, res.config.eta, gids)
                  for _ in range(n)]
         assert all(np.array_equal(r, recon[0]) for r in recon)
         assert np.max(np.abs(recon[0] - res.final_models[0])) <= 1e-9 * scale
@@ -154,12 +159,12 @@ def test_final_agreement_and_reconstruction():
 def test_application_order_does_not_change_reconstruction():
     res = run(jittered_config(Topology.fully_connected(4), budget=25))
     gids = list(range(len(res.table)))
-    base = res.table.reconstruct(res.start, res.config.eta, gids)
+    base = reconstruct(res.table, res.start, res.config.eta, gids)
     rng = np.random.default_rng(0)
     for _ in range(50):
         rng.shuffle(gids)
         assert np.array_equal(
-            res.table.reconstruct(res.start, res.config.eta, gids), base
+            reconstruct(res.table, res.start, res.config.eta, gids), base
         )
 
 
@@ -281,39 +286,109 @@ def test_parameter_divergence_reported_with_location(runner):
     assert err.sim_time == pytest.approx(sim_time)
 
 
+def two_node_schedule():
+    """40 applications, 20 at each of two nodes."""
+    return schedule(constant_config(Topology.fully_connected(2), budget=10))
+
+
+def location(sched, key):
+    """(label, step, sim time) a divergence at application `key` names."""
+    return (sched.columns[0][key], sched.columns[1][key] + 1,
+            sched.times[key])
+
+
+def raised_at(trace):
+    with pytest.raises(DivergenceError) as info:
+        trace.finish()
+    return info.value.node, info.value.step, info.value.sim_time
+
+
 def test_pending_row_divergence_precedes_parameter_check():
-    cfg = constant_config(Topology.fully_connected(2), budget=10)
-    trace = _Trace(cfg, 4, 20)
-    trace.log(np.zeros(4), 0, 2, 1.5, 0)
-    trace.log(np.full(4, 1e200), 1, 3, 2.5, 1)   # the loss overflows
-    trace.log(np.zeros(4), 0, 4, 3.0, 0)
-    with pytest.raises(DivergenceError) as info:
-        trace.check(np.full(4, np.inf), 0, 5, 3.5)
-    assert (info.value.node, info.value.step, info.value.sim_time) == (1, 3, 2.5)
-    # Without a failing row pending, the parameter check reports itself.
-    trace = _Trace(cfg, 4, 20)
-    trace.log(np.zeros(4), 0, 2, 1.5, 0)
-    with pytest.raises(DivergenceError) as info:
-        trace.check(np.full(4, np.nan), 1, 5, 3.5)
-    assert (info.value.node, info.value.step) == (1, 5)
-    assert len(trace.rows) == 1
+    sched = two_node_schedule()
+    trace = _Trace(sched, 4)
+    # The loss of the middle row overflows.
+    trace.log(np.array([np.zeros(4), np.full(4, 1e200), np.zeros(4)]),
+              [1, 2, 3])
+    trace.check(np.full((1, 4), np.inf), [4])
+    assert raised_at(trace) == location(sched, 2)
+    # Without a failing row logged first, the parameter check reports
+    # itself.
+    trace = _Trace(sched, 4)
+    trace.log(np.zeros((1, 4)), [1])
+    trace.check(np.full((1, 4), np.nan), [5])
+    assert raised_at(trace) == location(sched, 5)
+
+
+def test_first_divergence_in_logging_order_across_nodes():
+    sched = two_node_schedule()
+    applier = list(sched.columns[0])
+    early = applier.index(0)
+    late = len(applier) - 1 - applier[::-1].index(1)
+    assert early < late
+    # The parameter pass meets node 1's parameters first and node 0's
+    # failing row later; the row comes first in logging order.
+    trace = _Trace(sched, 4)
+    trace.check(np.array([np.zeros(4), np.full(4, np.inf)]), [late - 1, late])
+    trace.log(np.full((1, 4), 1e200), [early])
+    assert raised_at(trace) == location(sched, early)
+    # At the same application the parameter check comes before the row.
+    trace = _Trace(sched, 4)
+    trace.log(np.full((1, 4), 1e200), [late])
+    trace.check(np.full((1, 4), np.nan), [late])
+    trace.flush()
+    assert trace._failure == (late, 0)
+    # A failing t=0 row precedes every application.
+    trace = _Trace(sched, 4)
+    trace.check(np.full((1, 4), np.nan), [0])
+    trace.start(np.full(4, 1e200), (0, 1), (0, 1))
+    assert raised_at(trace) == (0, 0, 0.0)
 
 
 def test_parameter_check_screens_with_the_sum():
-    cfg = constant_config(Topology.fully_connected(2), budget=10)
-    trace = _Trace(cfg, 2, 20)
+    sched = two_node_schedule()
+    trace = _Trace(sched, 4)
+    trace.start(np.zeros(4), (0, 1), (0, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         # Finite entries whose sum overflows are not divergence.
-        trace.check(np.array([1e308, 1e308]), 0, 1, 0.5)
-        trace.check(np.array([-1e308, -1e308]), 0, 2, 0.75)
+        trace.check(np.array([[1e308] * 4, [-1e308] * 4]), [1, 2])
+        assert [row.t for row in trace.finish()] == [0, 0]
         # One non-finite entry is, at the location given; opposite
         # infinities sum to nan.
         for bad in ([1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf],
                     [np.inf, -np.inf]):
-            with pytest.raises(DivergenceError) as info:
-                trace.check(np.array(bad), 1, 7, 2.5)
-            err = info.value
-            assert (err.node, err.step, err.sim_time) == (1, 7, 2.5)
+            trace = _Trace(sched, 4)
+            trace.check(np.array([[1e308] * 4, bad + [1e308, 0.0],
+                                  [np.nan] * 4]), [6, 7, 8])
+            assert raised_at(trace) == location(sched, 7)
+
+
+@pytest.mark.parametrize("make", [schedule, schedule_sync,
+                                  schedule_centralized],
+                         ids=lambda fn: fn.__name__)
+def test_schedule_reads_no_parameter(make):
+    def config(eta, objective):
+        return SimConfig(
+            topology=Topology.ring(4), objective=objective, eta=eta,
+            samples_per_node=30,
+            compute_time=TimeDistribution.uniform(0.8, 1.2),
+            latency=TimeDistribution.exponential(0.5), seed=4)
+
+    objectives = (small_quadratic(d=3), QuadraticObjective(
+        np.diag([1e6, 2.0, 3.0]), offset=[1e3, -1e3, 5.0], noise_sigma=2.0))
+    schedules = [make(config(eta, obj))
+                 for eta in (1e-12, 1e-2) for obj in objectives]
+    first = schedules[0]
+    for other in schedules[1:]:
+        assert other.times == first.times
+        assert other.columns == first.columns
+        assert other.gids == first.gids and other.ids == first.ids
+        assert other.total_time == first.total_time
+        assert other.messages == first.messages
+        assert other.events == first.events
+        if first.ledger is not None:
+            assert other.ledger._order == first.ledger._order
+    if make is schedule:
+        assert first.messages.sent > 0
 
 
 def test_event_log_view_matches_trace_events():
@@ -370,21 +445,38 @@ def test_staleness_log_view_matches_record_pairs(runner):
 
 def test_trace_blocks_match_one_point_metrics():
     obj = small_quadratic(d=7)
-    cfg = constant_config(Topology.fully_connected(2), objective=obj,
-                          metric_stride=3)
-    last_t = 2 * TRACE_BLOCK * 3 + 100
-    trace = _Trace(cfg, 7, last_t)
+    sched = schedule(constant_config(Topology.fully_connected(4), budget=200,
+                                     objective=obj, metric_stride=3))
+    apps = len(sched.times)
+    assert apps > 3 * TRACE_BLOCK
+    trace = _Trace(sched, 7)
+    assert trace.logged(1, 20).tolist() == [3, 6, 9, 12, 15, 18]
+    assert trace.logged(4, 5).tolist() == []
+    assert trace.logged(790, 800).tolist() == [792, 795, 798, 800]
+    assert [t for t in range(801) if trace.logs(t)] == \
+        trace.logged(0, 800).tolist()
     rng = np.random.default_rng(2)
-    expected = []
-    for t in range(last_t + 1):
-        x = rng.standard_normal(7) * 10.0 ** rng.integers(-3, 4)
-        trace.log(x, t % 2, t, 0.5 * t, t % 2, t, 2 * t)
-        if t % 3 == 0 or t == last_t:
-            g = obj.full_gradient(x)
-            expected.append(TraceRow(t, 0.5 * t, t % 2, obj.loss(x),
-                                     float(g @ g), t, 2 * t))
-    trace.flush()
-    assert trace.rows == expected
+    points = (rng.standard_normal((apps, 7))
+              * 10.0 ** rng.integers(-3, 4, size=(apps, 1)))
+    x0 = obj.default_start()
+    trace.start(x0, (0, 1, 2, 3), (0, 1, 2, 3))
+    # Rows arrive in batches of up to 1,500, in shuffled batch order;
+    # keys ascend within a batch, as they do in the parameter pass.
+    cuts = np.sort(rng.choice(np.arange(1501, apps), size=30, replace=False))
+    batches = np.split(np.arange(apps), [1500, *cuts])
+    for i in rng.permutation(len(batches)):
+        trace.log(points[batches[i]], batches[i])
+    applier, step, _, _, tight, loose = sched.columns
+
+    def want(x, t, sim_time, node, tight, loose):
+        g = obj.full_gradient(x)
+        return TraceRow(t, sim_time, node, obj.loss(x), float(g @ g),
+                        tight, loose)
+
+    expected = [want(x0, 0, 0.0, node, 0, 0) for node in range(4)]
+    expected += [want(points[k], step[k] + 1, sched.times[k], applier[k],
+                      tight[k], loose[k]) for k in range(apps)]
+    assert trace.finish() == expected
 
 
 def test_trace_rows_start_at_zero_and_monotone_time():
@@ -437,9 +529,12 @@ def test_centralized_delay_equals_set_difference():
         seed=7,
     )
     res = run_centralized_asgd(cfg)
-    assert len(res.delay_pairs) == 200
-    assert all(delay == diff for delay, diff in res.delay_pairs)
-    assert any(delay > 0 for delay, _ in res.delay_pairs)
+    columns = res.staleness_log.columns
+    delays = list(columns[4])
+    assert len(delays) == 200
+    assert delays == server_set_differences(columns)
+    assert list(columns[5]) == delays
+    assert any(delay > 0 for delay in delays)
     # Server applications are totally ordered.
     steps = [r.applier_step for _, r in res.staleness_log]
     assert steps == list(range(200))
@@ -465,7 +560,7 @@ def test_centralized_is_sequential_sgd_with_one_worker():
     for t in range(40):
         x = x - 0.02 * obj.stochastic_gradient(x, gradient_seed(13, 0, t))
     assert np.array_equal(res.final_models[0], x)
-    assert all(delay == 0 for delay, _ in res.delay_pairs)
+    assert all(rec.tight_size == 0 for _, rec in res.staleness_log)
 
 
 def test_throughput_accounts_all_gradients():

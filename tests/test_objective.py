@@ -205,6 +205,23 @@ def test_stochastic_gradient_unbiased():
         assert relative_error(acc / n, obj.full_gradient(x)) <= 1e-2
 
 
+def test_objectives_state_whether_they_draw_from_the_seed():
+    rng = np.random.default_rng(21)
+    quiet = random_quadratic(rng, dim=3)
+    noisy = random_quadratic(rng, dim=3, noise_sigma=0.1)
+    logi = random_logistic(rng, rows=16, dim=3)
+    assert not quiet.draws_from_seed
+    assert noisy.draws_from_seed and logi.draws_from_seed
+    x = rng.standard_normal(3)
+    # Without noise the seed is ignored, so none is needed.
+    for seed in (None, 0, 12345):
+        assert np.array_equal(quiet.stochastic_gradient(x, seed),
+                              quiet.full_gradient(x))
+    for obj in (noisy, logi):
+        assert not np.array_equal(obj.stochastic_gradient(x, 1),
+                                  obj.stochastic_gradient(x, 2))
+
+
 def test_synthetic_data_shape_and_determinism():
     f1, l1 = synthetic_logistic_data(30, 4, seed=5)
     f2, l2 = synthetic_logistic_data(30, 4, seed=5)
