@@ -19,7 +19,6 @@ from dasgd_sim.config import ConfigError, ExperimentConfig
 from dasgd_sim.engine import DivergenceError
 from dasgd_sim.ledger import EventLogError
 from dasgd_sim.oracle import check_log
-from dasgd_sim.theory import stepsize_bound_tight
 from dasgd_sim.verification import MissingRunFiles, verify_run
 
 SWEEP_AXES = ("n", "topology", "eta", "sigma")
@@ -37,24 +36,14 @@ def _load_config(path: str, seed, replicas) -> ExperimentConfig:
     if replicas is not None:
         config = replace(config, replicas=replicas)
     config.validate()
+    if config.objective_kind == "logistic" and config.data_path:
+        config.load_data()
     return config
 
 
-def _recommend_eta(config: ExperimentConfig) -> float:
-    """Stepsize rule applied to pilot-measured staleness; used for the
-    divergence diagnostic."""
-    probe = replace(config, eta=None)
-    eta, _ = runio.resolve_eta(probe)
-    return eta
-
-
-def _divergence_exit(config: ExperimentConfig, exc: DivergenceError) -> int:
-    try:
-        recommended = _recommend_eta(config)
-        hint = f"stepsize rule recommends eta <= {runio.fmt(recommended)}"
-    except Exception:
-        hint = "stepsize rule could not be evaluated"
-    print(f"divergence: {exc}; {hint}", file=sys.stderr)
+def _divergence_exit(exc: DivergenceError) -> int:
+    print(f"divergence: {exc}; stepsize rule recommends eta <= "
+          f"{runio.fmt(exc.rule)}", file=sys.stderr)
     return 3
 
 
@@ -81,7 +70,7 @@ def cmd_run(args) -> int:
     try:
         dirs = _run_replicas(config, args.out)
     except DivergenceError as exc:
-        return _divergence_exit(config, exc)
+        return _divergence_exit(exc)
     for run_dir in dirs:
         summary = runio.read_summary(os.path.join(run_dir, "summary.txt"))
         print(f"{run_dir}: run_id {summary['run_id']} "
@@ -133,7 +122,7 @@ def cmd_sweep(args) -> int:
             dirs = _run_replicas(derived, point_dir)
         except DivergenceError as exc:
             print(f"sweep point {args.axis}={value} diverged", file=sys.stderr)
-            return _divergence_exit(derived, exc)
+            return _divergence_exit(exc)
         psis, tights = [], []
         for run_dir in dirs:
             summary = runio.read_summary(os.path.join(run_dir, "summary.txt"))

@@ -2,13 +2,14 @@
 defaults, canonical serialization, and a content digest that names runs.
 
 The defaults describe a quick fully-connected quadratic demo.  Every
-field can be omitted; `eta` omitted means the runner picks it from a
-short pilot measurement (see runio.resolve_eta).
+field can be omitted; `eta` omitted means each run applies the stepsize
+rule to the average staleness of its own schedule (see engine.run).
 """
 
 from __future__ import annotations
 
 import configparser
+import csv
 import hashlib
 import io
 from dataclasses import dataclass, field, replace
@@ -80,14 +81,23 @@ class ExperimentConfig:
             return _make_quadratic(self.dim, self.condition,
                                    self.curvature_seed, self.noise_sigma)
         if self.data_path:
-            features, labels = load_logistic_csv(self.data_path)
+            features, labels = self.load_data()
         else:
             features, labels = synthetic_logistic_data(
                 self.rows, self.dim, self.curvature_seed, self.separation
             )
         return LogisticObjective(features, labels, ridge=self.ridge)
 
-    def sim_config(self, eta: float) -> SimConfig:
+    def load_data(self) -> tuple:
+        """(features, labels) of the logistic objective's `data` file.  A
+        file that cannot be read, or whose rows or labels are malformed,
+        is a ConfigError."""
+        try:
+            return load_logistic_csv(self.data_path)
+        except (OSError, ValueError, csv.Error) as exc:
+            raise ConfigError("objective", "data", str(exc)) from None
+
+    def sim_config(self, eta: Optional[float]) -> SimConfig:
         return SimConfig(
             topology=self.build_topology(),
             objective=self.build_objective(),
@@ -152,11 +162,11 @@ class ExperimentConfig:
 
     @classmethod
     def parse(cls, text: str) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text)
         except configparser.Error as exc:
-            raise ConfigError("file", "syntax", str(exc)) from None
+            raise _syntax_error(exc, text) from None
         known = {"run", "objective", "topology", "timing", "sgd"}
         for section in parser.sections():
             if section not in known:
@@ -226,6 +236,25 @@ class ExperimentConfig:
             validate_topology(self.build_topology())
         except TopologyError as exc:
             raise ConfigError("topology", "edges", str(exc)) from None
+
+
+def _syntax_error(exc: configparser.Error, text: str) -> ConfigError:
+    """A configparser error as one line: the first offending line's
+    number and text, and what is wrong with it."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        lineno, reason = exc.lineno, "comes before any [section] header"
+    elif isinstance(exc, configparser.ParsingError):
+        lineno = exc.errors[0][0]
+        reason = "is neither a [section] header nor 'key = value'"
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        lineno, reason = exc.lineno, f"repeats section [{exc.section}]"
+    elif isinstance(exc, configparser.DuplicateOptionError):
+        lineno = exc.lineno
+        reason = f"repeats option {exc.option!r} of [{exc.section}]"
+    else:
+        return ConfigError("file", "syntax", " ".join(str(exc).split()))
+    line = text.split("\n")[lineno - 1].strip()
+    return ConfigError("file", "syntax", f"line {lineno}: {line!r} {reason}")
 
 
 def _make_quadratic(dim, condition, curvature_seed, sigma):

@@ -23,6 +23,10 @@ over the updates it applied since its previous compute: the same bits as
 subtracting them one at a time.  A diverging run therefore simulates its
 whole schedule before it raises.
 
+A config that leaves eta out (None) gets the stepsize rule at its own
+schedule's average staleness, between the two passes; the result's
+config carries the eta used.
+
 Everything is deterministic in (config, seed): events are totally ordered
 by (time, kind, node, sequence) with deliveries sorting before compute
 completions at equal times, and every random draw flows from named
@@ -35,7 +39,7 @@ import heapq
 from array import array
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isfinite
 from typing import NamedTuple, Optional
 
@@ -56,7 +60,7 @@ from dasgd_sim.netsim import (
     Topology,
     validate_topology,
 )
-from dasgd_sim.theory import running_psi
+from dasgd_sim.theory import stepsize_bound_tight
 
 DELIVER = 0        # sorts before COMPUTE_DONE at equal times
 COMPUTE_DONE = 1
@@ -64,9 +68,12 @@ TRACE_BLOCK = 1024  # trace rows evaluated per objective call
 
 
 class DivergenceError(RuntimeError):
-    """Parameters left the finite range; the stepsize is too large."""
+    """Parameters left the finite range; the stepsize is too large.
+    `rule` is the stepsize rule at the diverged run's own average
+    staleness."""
 
-    def __init__(self, node: int, step: int, sim_time: float, eta: float):
+    def __init__(self, node: int, step: int, sim_time: float, eta: float,
+                 rule: float):
         super().__init__(
             f"non-finite parameters at node {node}, step {step}, "
             f"sim time {sim_time:.6g} (eta={eta:.6g})"
@@ -75,13 +82,14 @@ class DivergenceError(RuntimeError):
         self.step = step
         self.sim_time = sim_time
         self.eta = eta
+        self.rule = rule
 
 
 @dataclass
 class SimConfig:
     topology: Topology
     objective: object
-    eta: float
+    eta: Optional[float]                    # None: the stepsize rule
     samples_per_node: int
     compute_time: TimeDistribution
     latency: TimeDistribution
@@ -95,7 +103,8 @@ class SimConfig:
         return self.topology.n
 
     def validate(self) -> None:
-        if not (np.isfinite(self.eta) and self.eta > 0):
+        if self.eta is not None and not (np.isfinite(self.eta)
+                                         and self.eta > 0):
             raise ValueError("eta must be positive and finite")
         if self.samples_per_node < 1:
             raise ValueError("samples_per_node must be at least 1")
@@ -263,16 +272,6 @@ class RunResult:
     def throughput(self) -> float:
         return self.gradients_computed / self.total_time
 
-    def psi_series(self, node: int) -> list:
-        """(t, running average of grad_norm_sq over steps 0..t) for one
-        model.  Needs metric_stride=1 to cover every step."""
-        rows = self.node_rows(node)
-        return list(zip((r.t for r in rows),
-                        running_psi(r.grad_norm_sq for r in rows)))
-
-    def node_rows(self, node: int) -> list:
-        return self.rows_by_node().get(node, [])
-
     def rows_by_node(self) -> dict:
         """node -> its trace rows in step order, grouped in one pass."""
         groups: dict = {}
@@ -308,6 +307,21 @@ def _timing(config: SimConfig) -> tuple:
     return scale, rng
 
 
+def _rule(sched: Schedule) -> float:
+    """The bounded-gradient stepsize rule at the schedule's average
+    staleness."""
+    return stepsize_bound_tight(sched.config.objective.lipschitz_constant(),
+                                sched.summary.tight_avg)
+
+
+def _with_stepsize(sched: Schedule) -> Schedule:
+    """`sched` with a stepsize in its config: the config's own, or the
+    stepsize rule when the config leaves eta out."""
+    if sched.config.eta is None:
+        sched.config = replace(sched.config, eta=_rule(sched))
+    return sched
+
+
 def _start_point(config: SimConfig) -> np.ndarray:
     return np.array(
         config.objective.default_start() if config.start is None
@@ -339,6 +353,7 @@ class _Trace:
     """
 
     def __init__(self, sched: Schedule, dim: int, row_node: int = APPLIER):
+        self._sched = sched
         config = sched.config
         self._objective = config.objective
         self._stride = config.metric_stride
@@ -439,12 +454,13 @@ class _Trace:
         self.flush()
         if self._failure is not None:
             key = self._failure[0]
+            rule = _rule(self._sched)
             if key < 0:
                 raise DivergenceError(self._start_labels[key], 0, 0.0,
-                                      self._eta)
+                                      self._eta, rule)
             raise DivergenceError(int(self._label[key]),
                                   int(self._step[key]) + 1,
-                                  float(self._times[key]), self._eta)
+                                  float(self._times[key]), self._eta, rule)
         rows, out = self._rows, []
         order = np.argsort(np.concatenate(self._row_keys), kind="stable")
         # A block of indices at a time: a list of them all would be a
@@ -589,7 +605,8 @@ def schedule(config: SimConfig) -> Schedule:
 def run(config: SimConfig) -> RunResult:
     """Execute the decentralized protocol: its schedule, then the
     gradients and parameters along it."""
-    sched = schedule(config)
+    sched = _with_stepsize(schedule(config))
+    config = sched.config
     x0 = _start_point(config)
     table = GradientTable(sched.ids, x0.shape[0], config.eta)
     trace = _Trace(sched, x0.shape[0])
@@ -681,7 +698,8 @@ def run_sync_baseline(config: SimConfig) -> RunResult:
     """Lock-step mini-batch SGD on one shared model.  Every round waits
     for the slowest of the n compute draws, then applies the averaged
     gradient once; idle time lost to stragglers is thereby priced in."""
-    sched = schedule_sync(config)
+    sched = _with_stepsize(schedule_sync(config))
+    config = sched.config
     x0 = _start_point(config)
     rounds = len(sched.ids)
     table = GradientTable(sched.ids, x0.shape[0], config.eta)
@@ -761,7 +779,8 @@ def run_centralized_asgd(config: SimConfig) -> RunResult:
     """Parameter-server emulation: workers fetch the server model, compute
     for a sampled duration, and push; the server applies pushes in arrival
     order and the worker refetches immediately after its push lands."""
-    sched = schedule_centralized(config)
+    sched = _with_stepsize(schedule_centralized(config))
+    config = sched.config
     x0 = _start_point(config)
     n_updates = len(sched.ids)
     table = GradientTable(sched.ids, x0.shape[0], config.eta)

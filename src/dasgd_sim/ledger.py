@@ -237,11 +237,6 @@ class StalenessKernel:
         self._check_node(node)
         return self._members[node].bit_count()
 
-    def node_contains(self, node: int, gid: int) -> bool:
-        self._check_node(node)
-        self._check_gid(gid)
-        return bool(self._members[node] >> gid & 1)
-
     def node_members(self, node: int) -> frozenset[int]:
         self._check_node(node)
         return _bits_to_ids(self._members[node])

@@ -281,16 +281,6 @@ def power_iteration_top_eigenvalue(
     raise RuntimeError(f"power iteration did not converge in {max_steps} steps")
 
 
-def estimate_noise_second_moment(objective, x, n_seeds: int = 1000, seed0: int = 0) -> float:
-    """Monte-Carlo estimate of E||stochastic - full||^2 at x."""
-    full = objective.full_gradient(x)
-    acc = 0.0
-    for s in range(n_seeds):
-        diff = objective.stochastic_gradient(x, seed0 + s) - full
-        acc += float(diff @ diff)
-    return acc / n_seeds
-
-
 def synthetic_logistic_data(n_rows: int = 80, dim: int = 2, seed: int = 0,
                             separation: float = 2.0):
     """Two overlapping Gaussian blobs with 0/1 labels, seeded."""
@@ -308,7 +298,8 @@ def synthetic_logistic_data(n_rows: int = 80, dim: int = 2, seed: int = 0,
 
 
 def load_logistic_csv(path):
-    """Read `f0..f{d-1},label` rows; label must be 0 or 1."""
+    """Read `f0..f{d-1},label` rows of finite numbers; label must be 0
+    or 1."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -325,6 +316,8 @@ def load_logistic_csv(path):
                 rows.append([float(v) for v in row])
             except ValueError:
                 raise ValueError(f"{path}:{line_no}: non-numeric field") from None
+            if not np.isfinite(rows[-1]).all():
+                raise ValueError(f"{path}:{line_no}: non-finite field")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.array(rows)

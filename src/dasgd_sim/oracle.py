@@ -208,49 +208,3 @@ def check_log(lines: Iterable[str],
         mismatches=tuple(mismatches),
     )
 
-
-def random_event_log(rng, n_nodes: int, max_total_steps: int = 50) -> list[str]:
-    """Generate a protocol-valid random event log.
-
-    Every computed gradient is self-applied immediately (as the protocol
-    does) and becomes available to the other nodes afterwards, which apply
-    it in arbitrary order.  Budgets are drawn so that no node exceeds
-    `max_total_steps` applications by the end, when every gradient has
-    reached every node.
-    """
-    total = int(rng.integers(n_nodes, max_total_steps + 1))
-    budgets = [1] * n_nodes
-    for _ in range(total - n_nodes):
-        budgets[int(rng.integers(n_nodes))] += 1
-    lines: list[str] = []
-    applied_count = [0] * n_nodes
-    pending: list[list[GradientId]] = [[] for _ in range(n_nodes)]
-    remaining = list(budgets)
-    while True:
-        choices = [
-            i
-            for i in range(n_nodes)
-            if remaining[i] > 0 or pending[i]
-        ]
-        if not choices:
-            break
-        node = choices[int(rng.integers(len(choices)))]
-        can_compute = remaining[node] > 0
-        if can_compute and (not pending[node] or rng.random() < 0.5):
-            step = applied_count[node]
-            lines.append(f"COMPUTE {node} {step}")
-            lines.append(f"APPLY {node} {step} {node} {step}")
-            applied_count[node] += 1
-            remaining[node] -= 1
-            ident = GradientId(node, step)
-            for other in range(n_nodes):
-                if other != node:
-                    pending[other].append(ident)
-        else:
-            pick = int(rng.integers(len(pending[node])))
-            ident = pending[node].pop(pick)
-            lines.append(
-                f"APPLY {node} {applied_count[node]} {ident.producer} {ident.step}"
-            )
-            applied_count[node] += 1
-    return lines

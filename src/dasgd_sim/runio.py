@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 import zipfile
-from dataclasses import replace
 
 import numpy as np
 
@@ -29,16 +28,12 @@ from dasgd_sim.engine import (
     run,
     run_centralized_asgd,
     run_sync_baseline,
-    schedule,
-    schedule_centralized,
-    schedule_sync,
 )
 from dasgd_sim.theory import (
     gradient_bound,
     rate_bound_bounded_gradients,
     run_ceiling_inputs,
     running_psi,
-    stepsize_bound_tight,
 )
 
 TRACE_COLUMNS = (
@@ -55,15 +50,6 @@ _RUNNERS = {
     "sync": run_sync_baseline,
     "centralized_asgd": run_centralized_asgd,
 }
-_SCHEDULES = {
-    "dasgd": schedule,
-    "sync": schedule_sync,
-    "centralized_asgd": schedule_centralized,
-}
-
-# The pilot runs only the schedule, which reads no stepsize; the config
-# still needs a valid one.
-_PILOT_ETA = 1e-12
 
 
 def fmt(value) -> str:
@@ -72,27 +58,22 @@ def fmt(value) -> str:
     return str(value)
 
 
-def resolve_eta(config: ExperimentConfig) -> tuple:
-    """(eta, source).  When the config leaves eta out, measure average
-    staleness on the schedule of a short pilot, a tenth of the budget,
-    and apply the stepsize rule to it."""
+def resolve_eta(config: ExperimentConfig, result: RunResult) -> tuple:
+    """(eta, source) of a finished run: the config's eta, or the one the
+    runner took from the stepsize rule at the run's own average
+    staleness when the config leaves eta out."""
+    eta = result.config.eta
     if config.eta is not None:
-        return config.eta, "config"
-    pilot_budget = max(1, config.samples_per_node // 10)
-    sim = replace(config, samples_per_node=pilot_budget).sim_config(
-        eta=_PILOT_ETA)
-    tight_avg = _SCHEDULES[config.mode](sim).summary.tight_avg
-    eta = stepsize_bound_tight(sim.objective.lipschitz_constant(), tight_avg)
-    return eta, (f"pilot ({pilot_budget} samples/node, measured "
-                 f"tight_avg {fmt(tight_avg)})")
+        return eta, "config"
+    return eta, (f"stepsize rule (measured tight_avg "
+                 f"{fmt(result.summary.tight_avg)})")
 
 
 def execute(config: ExperimentConfig, replica: int = 0):
     """Run one replica.  Returns (result, effective config, eta source)."""
     effective = config.for_replica(replica)
-    eta, source = resolve_eta(effective)
-    sim = effective.sim_config(eta=eta)
-    result = _RUNNERS[effective.mode](sim)
+    result = _RUNNERS[effective.mode](effective.sim_config(eta=effective.eta))
+    _, source = resolve_eta(effective, result)
     return result, effective, source
 
 

@@ -158,7 +158,7 @@ def _check_oracle(config, staleness, events, replay):
                        f"{len(staleness)} events match the brute-force replay")
 
 
-def _check_rate_bound(config, trace, staleness, gradients, models):
+def _check_rate_bound(config, obj, trace, staleness, gradients, models):
     if config.objective_kind != "quadratic":
         return CheckResult("rate-bound", "skip",
                            "no analytic noise ceiling for logistic")
@@ -179,7 +179,6 @@ def _check_rate_bound(config, trace, staleness, gradients, models):
         return CheckResult("rate-bound", "fail",
                            "gradient bound is not finite: a gradient norm "
                            "in gradients.npz overflows")
-    obj = config.build_objective()
     x0, _ = models
     eta = trace[0]["eta"]
     inputs, rule = run_ceiling_inputs(
@@ -210,7 +209,7 @@ def _check_rate_bound(config, trace, staleness, gradients, models):
                        f"(min margin {worst_margin:.3g})")
 
 
-def _check_descent(config, trace, gradients, models, replay):
+def _check_descent(config, obj, trace, gradients, models, replay):
     if config.objective_kind != "quadratic":
         return CheckResult("descent-step", "skip",
                            "stochastic (row sampling); "
@@ -220,7 +219,6 @@ def _check_descent(config, trace, gradients, models, replay):
     if replay is None:
         return CheckResult("descent-step", "skip",
                            "no peer event log for this mode")
-    obj = config.build_objective()
     lipschitz = obj.lipschitz_constant()
     eta = trace[0]["eta"]
     if eta > 1.0 / (2.0 * lipschitz) * (1 + 1e-9):
@@ -329,13 +327,16 @@ def verify_run(run_dir: str) -> list:
     """All four checks, in a fixed order.  The event log is parsed and
     replayed by brute force once; the oracle and descent checks share
     that replay, and the oracle check's ledger replays its parsed
-    events."""
+    events.  The rate-bound and descent checks share one objective,
+    built only for the noiseless quadratic, the one case they check."""
     digest, config, trace, staleness, gradients, models, events = \
         _load(run_dir)
     replay = None if events is None else replay_brute_force(events)
+    checked = config.objective_kind == "quadratic" and config.noise_sigma == 0
+    obj = config.build_objective() if checked else None
     return [
         _check_agreement(config, trace, staleness, gradients, models),
         _check_oracle(config, staleness, events, replay),
-        _check_rate_bound(config, trace, staleness, gradients, models),
-        _check_descent(config, trace, gradients, models, replay),
+        _check_rate_bound(config, obj, trace, staleness, gradients, models),
+        _check_descent(config, obj, trace, gradients, models, replay),
     ]

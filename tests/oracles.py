@@ -8,6 +8,11 @@ program's kernel and its dense brute-force replay are checked against
 them, and the parameter server's counter delay against
 `server_set_differences`.  `reconstruct` rebuilds a model from a run's
 gradient table in a canonical order.
+
+Besides oracles it holds generators and accessors that only tests
+need: `random_event_log`, `estimate_noise_second_moment`, a run's
+per-node rows and psi series (`node_rows`, `psi_series`), and
+`node_contains` on a kernel.
 """
 
 from dataclasses import dataclass
@@ -15,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dasgd_sim.ledger import GradientId, parse_event_log
+from dasgd_sim.theory import running_psi
 
 
 def central_difference_gradient(loss, x, h=1e-6):
@@ -164,3 +170,78 @@ class LiteralReplay:
                 loose=naive_loose_staleness(self.snapshots, before, snap),
             ))
             self.applied[node] = before | {ident}
+
+
+def random_event_log(rng, n_nodes: int, max_total_steps: int = 50) -> list[str]:
+    """Generate a protocol-valid random event log.
+
+    Every computed gradient is self-applied immediately (as the protocol
+    does) and becomes available to the other nodes afterwards, which apply
+    it in arbitrary order.  Budgets are drawn so that no node exceeds
+    `max_total_steps` applications by the end, when every gradient has
+    reached every node.
+    """
+    total = int(rng.integers(n_nodes, max_total_steps + 1))
+    budgets = [1] * n_nodes
+    for _ in range(total - n_nodes):
+        budgets[int(rng.integers(n_nodes))] += 1
+    lines: list[str] = []
+    applied_count = [0] * n_nodes
+    pending: list[list[GradientId]] = [[] for _ in range(n_nodes)]
+    remaining = list(budgets)
+    while True:
+        choices = [
+            i
+            for i in range(n_nodes)
+            if remaining[i] > 0 or pending[i]
+        ]
+        if not choices:
+            break
+        node = choices[int(rng.integers(len(choices)))]
+        can_compute = remaining[node] > 0
+        if can_compute and (not pending[node] or rng.random() < 0.5):
+            step = applied_count[node]
+            lines.append(f"COMPUTE {node} {step}")
+            lines.append(f"APPLY {node} {step} {node} {step}")
+            applied_count[node] += 1
+            remaining[node] -= 1
+            ident = GradientId(node, step)
+            for other in range(n_nodes):
+                if other != node:
+                    pending[other].append(ident)
+        else:
+            pick = int(rng.integers(len(pending[node])))
+            ident = pending[node].pop(pick)
+            lines.append(
+                f"APPLY {node} {applied_count[node]} {ident.producer} {ident.step}"
+            )
+            applied_count[node] += 1
+    return lines
+
+
+def estimate_noise_second_moment(objective, x, n_seeds: int = 1000, seed0: int = 0) -> float:
+    """Monte-Carlo estimate of E||stochastic - full||^2 at x."""
+    full = objective.full_gradient(x)
+    acc = 0.0
+    for s in range(n_seeds):
+        diff = objective.stochastic_gradient(x, seed0 + s) - full
+        acc += float(diff @ diff)
+    return acc / n_seeds
+
+
+def node_rows(result, node: int) -> list:
+    """One model's trace rows of a run, in step order."""
+    return result.rows_by_node().get(node, [])
+
+
+def psi_series(result, node: int) -> list:
+    """(t, running average of grad_norm_sq over steps 0..t) for one
+    model of a run.  Needs metric_stride=1 to cover every step."""
+    rows = node_rows(result, node)
+    return list(zip((r.t for r in rows),
+                    running_psi(r.grad_norm_sq for r in rows)))
+
+
+def node_contains(kernel, node: int, gid: int) -> bool:
+    """Whether `node` of a staleness kernel has applied gradient gid."""
+    return gid in kernel.node_members(node)

@@ -18,7 +18,7 @@ from dasgd_sim.engine import run, run_centralized_asgd, run_sync_baseline
 from dasgd_sim.ledger import GradientId
 from dasgd_sim.objective import QuadraticObjective, synthetic_logistic_data
 from dasgd_sim.objective import LogisticObjective
-from dasgd_sim.oracle import check_log, random_event_log
+from dasgd_sim.oracle import check_log
 from dasgd_sim.theory import (
     BoundInputs,
     iterations_to_target,
@@ -28,7 +28,13 @@ from dasgd_sim.theory import (
     stepsize_bound_tight,
 )
 
-from oracles import LiteralReplay, reconstruct, server_set_differences
+from oracles import (
+    LiteralReplay,
+    psi_series,
+    random_event_log,
+    reconstruct,
+    server_set_differences,
+)
 
 PILOT_ETA = 1e-12  # staleness is stepsize-invariant; keeps pilots inert
 
@@ -55,7 +61,7 @@ def timed_run(cfg, eta):
 
 
 def first_step_reaching(result, node, level):
-    for t, psi in result.psi_series(node):
+    for t, psi in psi_series(result, node):
         if psi <= level:
             return t
     return None
@@ -244,7 +250,7 @@ def test_criterion_07_deterministic_rate_containment():
     violations = 0
     checked = 0
     for node in range(cfg.n):
-        for t, psi in result.psi_series(node):
+        for t, psi in psi_series(result, node):
             ceiling = rate_bound_bounded_gradients(inputs, t)
             checked += 1
             worst_margin = min(worst_margin, ceiling - psi)
@@ -283,7 +289,7 @@ def test_criterion_08_stochastic_rate_containment():
                            noise_sigma=0.5, seed=seed)
         result = run(cfg.sim_config(eta=eta))
         for node in range(4):
-            series = result.psi_series(node)
+            series = psi_series(result, node)
             assert len(series) == steps + 1
             totals[node] += [psi for _, psi in series]
     totals /= seeds

@@ -8,9 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from dasgd_sim import runio
+from dasgd_sim import engine, objective, runio
 from dasgd_sim.cli import main
 from dasgd_sim.config import ExperimentConfig
+from dasgd_sim.theory import stepsize_bound_tight
 
 SMALL = """\
 [run]
@@ -117,13 +118,71 @@ def test_seed_override_changes_run_identity(tmp_path):
     assert sa["seed"] == "3" and sb["seed"] == "4"
 
 
-def test_missing_eta_resolved_from_pilot(tmp_path):
-    cfg = write_config(tmp_path, SMALL.replace("eta = 0.01", "") )
+MODES = ("dasgd", "sync", "centralized_asgd")
+
+# Random timing, so that every mode's staleness is its own.
+RANDOM_TIMING = ("\n[timing]\ncompute = uniform:0.8:1.2\n"
+                 "latency = exponential:0.3\n")
+
+
+def eta_less(mode):
+    return (SMALL.replace("eta = 0.01", "")
+            .replace("[run]\n", f"[run]\nmode = {mode}\n") + RANDOM_TIMING)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_missing_eta_resolved_from_run_schedule(tmp_path, mode):
+    cfg = write_config(tmp_path, eta_less(mode))
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--out", out]) == 0
     summary = runio.read_summary(os.path.join(out, "summary.txt"))
-    assert summary["eta_source"].startswith("pilot")
-    assert float(summary["eta"]) > 0
+    assert summary["eta_source"] == (
+        f"stepsize rule (measured tight_avg {summary['tight_avg']})")
+    result, _, source = runio.execute(ExperimentConfig.from_file(cfg))
+    assert source == summary["eta_source"]
+    # The rule at the same run's own staleness, to the last bit.
+    rule = stepsize_bound_tight(result.config.objective.lipschitz_constant(),
+                                result.summary.tight_avg)
+    assert result.config.eta == rule
+    assert summary["eta"] == runio.fmt(rule)
+    assert summary["tight_avg"] == runio.fmt(result.summary.tight_avg)
+
+
+def count_calls(monkeypatch, owner, name, counts):
+    """Count the calls of `owner.name` in `counts[name]`."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def count_passes(monkeypatch) -> dict:
+    """Counts of each schedule pass, of the timing set-up every schedule
+    pass starts with, and of the Lipschitz power iteration."""
+    counts: dict = {}
+    for name in ("schedule", "schedule_sync", "schedule_centralized",
+                 "_timing"):
+        count_calls(monkeypatch, engine, name, counts)
+    count_calls(monkeypatch, objective, "power_iteration_top_eigenvalue",
+                counts)
+    return counts
+
+
+SCHEDULE_OF = {"dasgd": "schedule", "sync": "schedule_sync",
+               "centralized_asgd": "schedule_centralized"}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_eta_less_replica_simulates_one_schedule(tmp_path, monkeypatch, mode):
+    cfg = write_config(tmp_path, eta_less(mode))
+    counts = count_passes(monkeypatch)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--replicas", "2"]) == 0
+    assert counts == {SCHEDULE_OF[mode]: 2, "_timing": 2,
+                      "power_iteration_top_eigenvalue": 2}
 
 
 def test_replicas_get_subdirectories(tmp_path):
@@ -146,6 +205,79 @@ def test_config_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "turbo" in err
+
+
+# Config inputs refused where the config is loaded: configparser syntax
+# errors, a `%` in a value, and a logistic `data` file that is missing,
+# whose labels are not 0/1, or that holds a NaN.  {dir} is the test's
+# directory.
+BAD_CONFIGS = {
+    "not_ini": ("[run]\nseed = 1\nthis is not ini\n",
+                "[file] syntax: line 3: 'this is not ini' is neither"),
+    "no_section": ("seed = 1\n[run]\n",
+                   "[file] syntax: line 1: 'seed = 1' comes before"),
+    "duplicate_option": ("[run]\nseed = 1\nseed = 2\n",
+                         "[file] syntax: line 3: 'seed = 2' repeats"),
+    "percent_reference": ("[run]\nseed = %(x)s\n",
+                          "[run] seed: '%(x)s' is not an integer"),
+    "missing_data": ("[objective]\nkind = logistic\ndata = {dir}/a%b.csv\n",
+                     "[objective] data: [Errno 2] No such file"),
+    "bad_labels": ("[objective]\nkind = logistic\ndata = {dir}/labels.csv\n",
+                   "[objective] data: {dir}/labels.csv: labels must be 0 or 1"),
+    "nan_feature": ("[objective]\nkind = logistic\ndata = {dir}/nan.csv\n",
+                    "[objective] data: {dir}/nan.csv:2: non-finite field"),
+}
+
+
+def assert_one_line_exit_2(code, err, prefix):
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: " + prefix), err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_exits_2_with_one_line(tmp_path, capsys, command, case):
+    text, prefix = (part.format(dir=tmp_path) for part in BAD_CONFIGS[case])
+    (tmp_path / "labels.csv").write_text("f0,label\n1.0,0\n2.0,2\n")
+    (tmp_path / "nan.csv").write_text("f0,label\nnan,0\n2.0,1\n")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "sweep":
+        argv += ["--axis", "eta", "--values", "0.01"]
+    code = main(argv)
+    assert_one_line_exit_2(code, capsys.readouterr().err, prefix)
+    assert not out.exists()
+
+
+# Edits of a manifest's configuration text that make it unparsable.
+MANIFEST_EDITS = {
+    "not_ini": lambda body: body.replace("[topology]\n",
+                                         "[topology]\nthis is not ini\n"),
+    "no_section": lambda body: "seed = 3\n" + body,
+    "duplicate_option": lambda body: body.replace("seed = 3\n",
+                                                  "seed = 3\nseed = 3\n"),
+    "percent_reference": lambda body: body.replace("seed = 3\n",
+                                                   "seed = %(x)s\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_EDITS))
+def test_verify_bad_manifest_exits_2_with_one_line(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, SMALL)
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    path = os.path.join(out, "manifest.txt")
+    with open(path, "r", encoding="utf-8") as fh:
+        head, _, body = fh.read().partition("\n\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head + "\n\n" + MANIFEST_EDITS[case](body))
+    capsys.readouterr()
+    code = main(["verify", out])
+    assert_one_line_exit_2(code, capsys.readouterr().err,
+                           "unreadable run directory: [")
 
 
 @pytest.mark.parametrize("text, flags", [
@@ -173,13 +305,23 @@ def test_zero_replicas_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_divergence_exits_3_with_recommendation(tmp_path, capsys):
+def test_divergence_exits_3_with_recommendation(tmp_path, capsys,
+                                                monkeypatch):
     # eta about 200x the stepsize rule for this curvature
     cfg = write_config(tmp_path, STIFF + "\n[sgd]\neta = 0.025\n")
+    counts = count_passes(monkeypatch)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert "divergence:" in err
-    assert "recommends eta <=" in err
+    assert err.startswith("divergence: non-finite parameters at ")
+    # The recommendation is the rule at the diverged run's own staleness:
+    # no second schedule is simulated for it.
+    assert counts == {"schedule": 1, "_timing": 1,
+                      "power_iteration_top_eigenvalue": 1}
+    sim = ExperimentConfig.from_file(cfg).sim_config(eta=None)
+    rule = stepsize_bound_tight(sim.objective.lipschitz_constant(),
+                                engine.schedule(sim).summary.tight_avg)
+    assert err.endswith(f"; stepsize rule recommends eta <= "
+                        f"{runio.fmt(rule)}\n")
 
 
 def test_verify_passes_on_healthy_run(tmp_path, capsys):
@@ -195,6 +337,56 @@ def test_verify_passes_on_healthy_run(tmp_path, capsys):
         "descent-step:",
     ]
     assert all(l.startswith("PASS") for l in lines)
+
+
+# The benchmark's audit scenario at seed 12 with one replica: eta left
+# out, random timing, dim 20.  An eta taken from a shorter run's
+# staleness sat above the stepsize rule at this run's own staleness, so
+# `verify` skipped the rate ceiling on a healthy run.
+AUDIT_SEED12 = """\
+[run]
+seed = 12
+samples_per_node = 40
+
+[objective]
+dim = 20
+curvature_seed = 12
+
+[topology]
+kind = fully_connected
+n = 6
+
+[timing]
+compute = uniform:0.8:1.2
+latency = exponential:0.2
+"""
+
+
+def test_eta_less_run_passes_every_check(tmp_path, capsys):
+    cfg = write_config(tmp_path, AUDIT_SEED12)
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["verify", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert all(line.startswith("PASS ") for line in lines), lines
+
+
+def test_verify_builds_the_objective_once(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, SMALL)
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    counts: dict = {}
+    count_calls(monkeypatch, ExperimentConfig, "build_objective", counts)
+    count_calls(monkeypatch, objective, "power_iteration_top_eigenvalue",
+                counts)
+    capsys.readouterr()
+    assert main(["verify", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["PASS"] * 4
+    assert counts == {"build_objective": 1,
+                      "power_iteration_top_eigenvalue": 1}
 
 
 def test_verify_catches_tampered_staleness(tmp_path, capsys):

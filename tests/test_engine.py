@@ -26,7 +26,7 @@ from dasgd_sim.netsim import MessageCounts, TimeDistribution, Topology
 from dasgd_sim.objective import QuadraticObjective
 from dasgd_sim.oracle import check_log
 
-from oracles import reconstruct, server_set_differences
+from oracles import node_rows, reconstruct, server_set_differences
 
 
 def small_quadratic(d=4, seed=5, sigma=0.0):
@@ -224,7 +224,7 @@ def test_metric_stride_thins_rows_only():
     res = run(cfg)
     total = 3 * 20
     for node in range(3):
-        ts = [r.t for r in res.node_rows(node)]
+        ts = [r.t for r in node_rows(res, node)]
         assert ts == sorted(set(list(range(0, total, 7)) + [total]))
     assert len(res.staleness_log) == 3 * total
 
@@ -482,7 +482,7 @@ def test_trace_blocks_match_one_point_metrics():
 def test_trace_rows_start_at_zero_and_monotone_time():
     res = run(jittered_config(Topology.ring(3), budget=15))
     for node in range(3):
-        rows = res.node_rows(node)
+        rows = node_rows(res, node)
         assert rows[0].t == 0 and rows[0].sim_time == 0.0
         assert rows[0].tight == 0 and rows[0].loose == 0
         times = [r.sim_time for r in rows]

@@ -3,7 +3,7 @@
 import pytest
 
 from dasgd_sim.ledger import StalenessKernel
-from oracles import naive_loose_staleness
+from oracles import naive_loose_staleness, node_contains
 
 
 def test_duplicate_application_rejected():
@@ -20,7 +20,7 @@ def test_snapshot_excludes_own_gradient():
     k.apply_gradient(0, g0)
     g1 = k.register_gradient(0)
     assert k.snapshot_members(g1) == frozenset([g0])
-    assert not k.node_contains(0, g1)
+    assert not node_contains(k, 0, g1)
     assert k.apply_gradient(0, g1) == (0, 0)
 
 

@@ -296,7 +296,7 @@ def shadow_replay(lines):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_incremental_matches_reference_on_random_logs(seed):
-    from dasgd_sim.oracle import random_event_log
+    from oracles import random_event_log
 
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))

@@ -10,13 +10,16 @@ import pytest
 from dasgd_sim.objective import (
     LogisticObjective,
     QuadraticObjective,
-    estimate_noise_second_moment,
     load_logistic_csv,
     power_iteration_top_eigenvalue,
     synthetic_logistic_data,
 )
 
-from oracles import central_difference_gradient, relative_error
+from oracles import (
+    central_difference_gradient,
+    estimate_noise_second_moment,
+    relative_error,
+)
 
 
 def random_quadratic(rng, dim=6, noise_sigma=0.0):

@@ -12,13 +12,14 @@ from dasgd_sim.ledger import (
     StalenessLedger,
     parse_event_log,
 )
-from dasgd_sim.oracle import (
-    check_log,
-    random_event_log,
-    replay_brute_force,
-)
+from dasgd_sim.oracle import check_log, replay_brute_force
 
-from oracles import LiteralReplay, loose_staleness, naive_loose_staleness
+from oracles import (
+    LiteralReplay,
+    loose_staleness,
+    naive_loose_staleness,
+    random_event_log,
+)
 from test_ledger import HAND_LOG, A, B, C
 
 
