@@ -11,21 +11,23 @@ take priority over fresh computation.  Because gradient application
 commutes, processing order affects only the staleness bookkeeping, never
 the final models.
 
-Every runner is two passes.  Event timing never reads a parameter, so the
-schedule pass (`schedule`, `schedule_sync`, `schedule_centralized`) runs
-the event heap, the network and the staleness ledger without any: it
-fixes which gradient every application applies, when, and at what
-staleness.  The parameter pass then computes the gradients and the
-parameters along that schedule, writes the trace rows and checks for
-divergence.  The peer run's parameter pass brings a node's parameters up
-to date only when the node computes, with one `np.subtract.accumulate`
-over the updates it applied since its previous compute: the same bits as
-subtracting them one at a time.  A diverging run therefore simulates its
-whole schedule before it raises.
+Every runner is three passes.  Event timing never reads a parameter, so
+the schedule pass (`schedule`, `schedule_sync`, `schedule_centralized`)
+runs the event heap, the network and the staleness ledger without any:
+it fixes which gradient every application applies, when, and at what
+staleness.  The gradient pass then fills the run's `GradientTable`
+along that schedule.  The peer run's brings a node's parameters up to
+date only when the node computes, with one `np.subtract.accumulate`
+over the updates it applied since its previous compute (`_chain`): the
+same bits as subtracting them one at a time.  Last, one trace pass for
+every mode (`_trace`) walks each model's finished chain, x0 minus its
+updates in the order it applied them, writes the trace rows in logging
+order, checks for divergence and gives the final models.  A diverging
+run therefore computes its whole gradient pass before it raises.
 
 A config that leaves eta out (None) gets the stepsize rule at its own
-schedule's average staleness, between the two passes; the result's
-config carries the eta used.
+schedule's average staleness, between the schedule and gradient passes;
+the result's config carries the eta used.
 
 Everything is deterministic in (config, seed): events are totally ordered
 by (time, kind, node, sequence) with deliveries sorting before compute
@@ -95,7 +97,6 @@ class SimConfig:
     latency: TimeDistribution
     seed: int
     compute_scale: Optional[tuple] = None   # per-node speed multipliers
-    start: Optional[np.ndarray] = None      # objective's default when None
     metric_stride: int = 1                  # thin trace rows, not records
 
     @property
@@ -323,176 +324,153 @@ def _with_stepsize(sched: Schedule) -> Schedule:
 
 
 def _start_point(config: SimConfig) -> np.ndarray:
-    return np.array(
-        config.objective.default_start() if config.start is None
-        else config.start,
-        dtype=float,
-    )
+    return np.array(config.objective.default_start(), dtype=float)
 
 
 APPLIER, PRODUCER = 0, 2   # record columns a trace row takes its node from
 
 
-class _Trace:
-    """The trace rows of one run and its divergence checks.
+def _applications(sched: Schedule, appliers: int) -> np.ndarray:
+    """Row p: the applications of the p-th applier, by label, in the
+    order it made them.  Every applier makes as many."""
+    return np.argsort(np.frombuffer(sched.columns[APPLIER], dtype=np.int64),
+                      kind="stable").reshape(appliers, -1)
 
-    Rows are keyed by their place in logging order: application k of the
-    schedule has key k, and the m rows at t=0, logged before any
-    application, have keys -m..-1.  A logged point is copied into a block,
-    and a full block is evaluated in one `losses_and_gradients` call.  The
-    parameter pass may log in another order than the keys'; `finish`
-    returns the rows sorted by key.  The run's last step, always logged,
-    is its number of gradients.
 
-    Divergence is parameters with a non-finite entry after an application
-    (`check`), or a row whose loss or gradient norm is not finite.  It is
-    reported at its label, step and time.  Every failure is noted, and
-    `finish` raises the first in logging order; at the same application
-    the parameter check comes before the row.  A row's label is the
-    applier of its application, so a parameter server's is -1.
+def _chain(x, updates, gids) -> np.ndarray:
+    """Row 0 is x, row i is x minus the first i updates `gids` names,
+    accumulated in that order.  Accumulation subtracts row by row, so
+    each row has the bits of applying the updates one at a time."""
+    chain = np.empty((len(gids) + 1, x.shape[0]))
+    chain[0] = x
+    updates.take(gids, axis=0, out=chain[1:])
+    return np.subtract.accumulate(chain, axis=0, out=chain)
+
+
+def _logged(sched: Schedule) -> np.ndarray:
+    """The applications whose rows are logged, ascending: those at a step
+    t (the application's count at its applier) that the metric stride
+    divides, and those at the run's last step, its number of gradients.
+    The t=0 rows are always logged."""
+    stride, last_t = sched.config.metric_stride, len(sched.ids)
+    step = np.frombuffer(sched.columns[1], dtype=np.int64)
+    keys = []
+    for first in range(0, len(step), TRACE_BLOCK):
+        t = step[first:first + TRACE_BLOCK] + 1
+        keys.append(np.flatnonzero((t % stride == 0) | (t == last_t))
+                    + first)
+    return np.concatenate(keys)
+
+
+def _trace(sched: Schedule, x0, table: GradientTable, labels, nodes,
+           row_node: int = APPLIER) -> tuple:
+    """The trace pass: the rows of a run whose gradients are in `table`,
+    in logging order, and its final models.
+
+    Model p is the chain of the p-th applier, labelled labels[p]: x0
+    minus the updates it applied, accumulated in the order it applied
+    them.  Its t=0 row, at x0, names nodes[p]; a later row names its
+    application's `row_node` column.  A chain is walked TRACE_BLOCK
+    applications at a time.  Each block is screened for non-finite
+    parameters, and its logged rows are evaluated with one
+    `losses_and_gradients` call and stored at their place in logging
+    order: the t=0 rows, then the logged applications in application
+    order.
+
+    Divergence is parameters with a non-finite entry after an
+    application, or a row whose loss or gradient norm is not finite.
+    The first failure in logging order is raised, and at the same
+    application the parameter check comes before the row.  A sum is not
+    finite whenever an entry is not, so a block's entries are tested only
+    when their sum is not finite: finite entries whose sum overflows
+    pass.
     """
+    objective = sched.config.objective
+    m = len(labels)
+    apps = _applications(sched, m)
+    gids = np.frombuffer(sched.gids, dtype=np.int64)
+    logged = _logged(sched)
+    losses = np.empty(m + len(logged))
+    gsq = np.empty(m + len(logged))
+    finals = np.empty((m, x0.shape[0]))
+    # Keyed by place in logging order: application k has key k, and the
+    # t=0 rows keys -m..-1.  Kind 0 is parameters, 1 a row.
+    failures = []
 
-    def __init__(self, sched: Schedule, dim: int, row_node: int = APPLIER):
-        self._sched = sched
-        config = sched.config
-        self._objective = config.objective
-        self._stride = config.metric_stride
-        self._eta = config.eta
-        self._last_t = len(sched.ids)
-        self._times = np.frombuffer(sched.times)
-        columns = [np.frombuffer(c, dtype=np.int64) for c in sched.columns]
-        self._label, self._step, self._tight, self._loose = (
-            columns[APPLIER], columns[1], columns[4], columns[5])
-        self._node = columns[row_node]
-        self._points = np.empty((TRACE_BLOCK, dim))
-        self._keys = np.empty(TRACE_BLOCK, dtype=np.int64)
-        self._fill = 0
-        self._start_labels: list = []
-        self._rows: list = []
-        self._row_keys: list = []
-        self._failure = None      # (key, 0 for parameters or 1 for a row)
+    def evaluate(points, keys, places):
+        # The rows at `points`, the parameters after applications `keys`,
+        # which ascend.  One dot per row, the sum float(g @ g) makes.
+        loss, grads = objective.losses_and_gradients(points)
+        norm = (grads[:, None, :] @ grads[:, :, None])[:, 0, 0]
+        losses[places], gsq[places] = loss, norm
+        bad = ~(np.isfinite(loss) & np.isfinite(norm))
+        if bad.any():
+            failures.append((int(keys[bad.argmax()]), 1))
 
-    def start(self, x0, labels, nodes) -> None:
-        """The t=0 rows: one at x0 per (label, node), evaluated now."""
-        m = len(labels)
-        self._start_labels = list(labels)
-        losses, gsq = self._evaluate(np.tile(x0, (m, 1)))
-        bad = np.flatnonzero(~(np.isfinite(losses) & np.isfinite(gsq)))
-        if bad.size:
-            self._fail(int(bad[0]) - m, 1)
-        self._row_keys.append(np.arange(-m, 0))
-        self._rows.extend(
-            TraceRow(0, 0.0, node, loss, g, 0, 0)
-            for node, loss, g in zip(nodes, losses.tolist(), gsq.tolist()))
-
-    def logs(self, t: int) -> bool:
-        """Whether the row of step t is logged: t=0 and the last step
-        always are, the others unless the metric stride thins them out."""
-        return not t % self._stride or t == self._last_t
-
-    def logged(self, first: int, last: int) -> np.ndarray:
-        """The steps in first..last whose rows are logged, ascending;
-        last is at most the run's last step."""
-        stride = self._stride
-        steps = np.arange(-(-first // stride) * stride, last + 1, stride)
-        if first <= self._last_t <= last and self._last_t % stride:
-            steps = np.append(steps, self._last_t)
-        return steps
-
-    def check(self, points, keys) -> None:
-        """Note divergence at the first row of `points` with a non-finite
-        entry; row i holds the parameters just after application keys[i],
-        and keys ascend.
-
-        A sum is not finite whenever an entry is not, so the entries are
-        tested only when the sum of all of them is not finite; finite
-        entries whose sum overflows pass.  Callers run under an errstate
-        that ignores overflow.
-        """
-        if isfinite(np.add.reduce(points, axis=None)):
-            return
-        finite = np.isfinite(points).all(axis=1)
-        if not finite.all():
-            self._fail(int(keys[finite.argmin()]), 0)
-
-    def log(self, points, keys) -> None:
-        """Queue row i of `points` as the row of application keys[i]."""
-        done, total = 0, len(keys)
-        while done < total:
-            fill = self._fill
-            take = min(TRACE_BLOCK - fill, total - done)
-            self._points[fill:fill + take] = points[done:done + take]
-            self._keys[fill:fill + take] = keys[done:done + take]
-            self._fill = fill + take
-            done += take
-            if self._fill == TRACE_BLOCK:
-                self.flush()
-
-    def flush(self) -> None:
-        """Evaluate the queued rows."""
-        fill = self._fill
-        if not fill:
-            return
-        self._fill = 0
-        keys = self._keys[:fill].copy()
-        losses, gsq = self._evaluate(self._points[:fill])
-        bad = np.flatnonzero(~(np.isfinite(losses) & np.isfinite(gsq)))
-        if bad.size:
-            self._fail(int(keys[bad].min()), 1)
-        if self._failure is not None:
-            return      # a diverged run returns no rows
-        self._row_keys.append(keys)
-        self._rows.extend(map(
-            TraceRow, (self._step[keys] + 1).tolist(),
-            self._times[keys].tolist(), self._node[keys].tolist(),
-            losses.tolist(), gsq.tolist(), self._tight[keys].tolist(),
-            self._loose[keys].tolist()))
-
-    def finish(self) -> list:
-        """Evaluate what is queued; raise the first divergence in logging
-        order, or return the rows in that order."""
-        self.flush()
-        if self._failure is not None:
-            key = self._failure[0]
-            rule = _rule(self._sched)
-            if key < 0:
-                raise DivergenceError(self._start_labels[key], 0, 0.0,
-                                      self._eta, rule)
-            raise DivergenceError(int(self._label[key]),
-                                  int(self._step[key]) + 1,
-                                  float(self._times[key]), self._eta, rule)
-        rows, out = self._rows, []
-        order = np.argsort(np.concatenate(self._row_keys), kind="stable")
-        # A block of indices at a time: a list of them all would be a
-        # Python int per row.
-        for first in range(0, len(order), TRACE_BLOCK):
-            out.extend(map(rows.__getitem__,
-                           order[first:first + TRACE_BLOCK].tolist()))
-        return out
-
-    def _evaluate(self, points) -> tuple:
-        with np.errstate(over="ignore", invalid="ignore"):
-            losses, grads = self._objective.losses_and_gradients(points)
-            # One dot per row, the sum float(g @ g) makes.
-            gsq = (grads[:, None, :] @ grads[:, :, None])[:, 0, 0]
-        return losses, gsq
-
-    def _fail(self, key: int, kind: int) -> None:
-        if self._failure is None or (key, kind) < self._failure:
-            self._failure = (key, kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        evaluate(np.tile(x0, (m, 1)), np.arange(-m, 0), np.arange(m))
+        for p in range(m):
+            x = x0
+            for first in range(0, apps.shape[1], TRACE_BLOCK):
+                keys = apps[p, first:first + TRACE_BLOCK]
+                chain = _chain(x, table.updates, gids[keys])
+                points, x = chain[1:], chain[-1]
+                if not isfinite(np.add.reduce(points, axis=None)):
+                    finite = np.isfinite(points).all(axis=1)
+                    if not finite.all():
+                        failures.append((int(keys[finite.argmin()]), 0))
+                places = logged.searchsorted(keys)
+                sel = np.flatnonzero(logged.take(places, mode="clip") == keys)
+                if sel.size:
+                    evaluate(points[sel], keys[sel], m + places[sel])
+            finals[p] = x
+    if failures:
+        raise _divergence(sched, labels, min(failures))
+    del apps    # as long as the run, and the rows do not need it
+    rows = [TraceRow(0, 0.0, node, loss, g, 0, 0) for node, loss, g
+            in zip(nodes, losses[:m].tolist(), gsq[:m].tolist())]
+    times = np.frombuffer(sched.times)
+    step, node, tight, loose = (
+        np.frombuffer(sched.columns[c], dtype=np.int64)
+        for c in (1, row_node, 4, 5))
+    # A block of rows at a time: a list of the keys would be a Python int
+    # per row.
+    for first in range(0, len(logged), TRACE_BLOCK):
+        keys = logged[first:first + TRACE_BLOCK]
+        at = slice(m + first, m + first + TRACE_BLOCK)
+        rows.extend(map(
+            TraceRow, (step[keys] + 1).tolist(), times[keys].tolist(),
+            node[keys].tolist(), losses[at].tolist(), gsq[at].tolist(),
+            tight[keys].tolist(), loose[keys].tolist()))
+    return rows, finals
 
 
-def _result(mode: str, sched: Schedule, start, rows, table, final_models,
-            gradients_computed: int) -> RunResult:
+def _divergence(sched: Schedule, labels, failure) -> DivergenceError:
+    """The error of `failure`, (key, kind) as `_trace` notes it: a t=0
+    row names its label, an application its applier, step and time."""
+    key = failure[0]
+    config = sched.config
+    if key < 0:
+        return DivergenceError(labels[key], 0, 0.0, config.eta, _rule(sched))
+    return DivergenceError(sched.columns[APPLIER][key],
+                           sched.columns[1][key] + 1, sched.times[key],
+                           config.eta, _rule(sched))
+
+
+def _result(mode: str, sched: Schedule, x0, table: GradientTable, labels,
+            nodes, gradients_computed: int,
+            row_node: int = APPLIER) -> RunResult:
+    """The run after its gradient pass: the trace pass, then the result."""
+    rows, finals = _trace(sched, x0, table, labels, nodes, row_node)
     return RunResult(
         mode=mode,
         config=sched.config,
-        start=start,
+        start=x0,
         rows=rows,
         staleness_log=StalenessLog(sched.times, sched.columns),
         events=sched.events,
         table=table,
-        final_models=final_models,
+        final_models=finals,
         total_time=sched.total_time,
         gradients_computed=gradients_computed,
         summary=sched.summary,
@@ -609,62 +587,36 @@ def run(config: SimConfig) -> RunResult:
     config = sched.config
     x0 = _start_point(config)
     table = GradientTable(sched.ids, x0.shape[0], config.eta)
-    trace = _Trace(sched, x0.shape[0])
-    trace.start(x0, range(config.n), range(config.n))
-    # Overflow is detected explicitly after every application; numpy's
-    # own warnings on the way there are noise.
+    # Divergence is looked for in the trace pass; numpy's own warnings on
+    # the way there are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        params = _descend(sched, x0, table, trace)
-    return _result("dasgd", sched, x0, trace.finish(), table,
-                   np.stack(params), len(sched.ids))
+        _descend(sched, x0, table)
+    return _result("dasgd", sched, x0, table, range(config.n),
+                   range(config.n), len(sched.ids))
 
 
-def _descend(sched: Schedule, x0, table: GradientTable,
-             trace: _Trace) -> list:
-    """The peer run's parameter pass: fill `table`, check and log every
-    application, and return each node's final parameters.
+def _descend(sched: Schedule, x0, table: GradientTable) -> None:
+    """The peer run's gradient pass: fill `table`.
 
     Gradients are computed in gid order, the order of the computes in
     the ledger's order column, so every update a node applies before a
-    compute already exists.  Every node applies every gradient: row p of
-    `apps` lists node p's applications in the order it made them.
+    compute already exists.  At a compute the producer's parameters are
+    brought up to date with the updates it applied since its previous
+    compute: its chain, continued.
     """
-    n, dim = sched.config.n, x0.shape[0]
+    config = sched.config
     updates = table.updates
-    apps = np.argsort(np.frombuffer(sched.columns[APPLIER], dtype=np.int64),
-                      kind="stable").reshape(n, -1)
+    apps = _applications(sched, config.n)
     gids = np.frombuffer(sched.gids, dtype=np.int64)
-    params = [x0.copy() for _ in range(n)]
-    folded = [0] * n            # applications already in params, per node
-    every_step = sched.config.metric_stride == 1    # every row is logged
-
-    def fold(node, upto):
-        # Applies the node's applications folded[node]..upto-1: block[0]
-        # holds its parameters before them, block[i] those after the i-th.
-        done = folded[node]
-        if upto == done:
-            return
-        keys = apps[node, done:upto]
-        block = np.empty((upto - done + 1, dim))
-        block[0] = params[node]
-        updates.take(gids[keys], axis=0, out=block[1:])
-        np.subtract.accumulate(block, axis=0, out=block)
-        params[node] = block[-1].copy()
-        folded[node] = upto
-        trace.check(block[1:], keys)
-        if every_step:
-            trace.log(block[1:], keys)
-        else:
-            # Application i of the node is its step i + 1.
-            steps = trace.logged(done + 1, upto)
-            trace.log(block[steps - done], apps[node, steps - 1])
-
+    params = [x0] * config.n
+    folded = [0] * config.n     # applications already in params, per node
     for gid, (node, step) in enumerate(sched.ids):
-        fold(node, step)
-        table.set(gid, _gradient(sched.config, params[node], node, step))
-    for node in range(n):
-        fold(node, apps.shape[1])
-    return params
+        done = folded[node]
+        if step > done:
+            params[node] = _chain(params[node], updates,
+                                  gids[apps[node, done:step]])[-1].copy()
+            folded[node] = step
+        table.set(gid, _gradient(config, params[node], node, step))
 
 
 def schedule_sync(config: SimConfig) -> Schedule:
@@ -703,8 +655,6 @@ def run_sync_baseline(config: SimConfig) -> RunResult:
     x0 = _start_point(config)
     rounds = len(sched.ids)
     table = GradientTable(sched.ids, x0.shape[0], config.eta)
-    trace = _Trace(sched, x0.shape[0])
-    trace.start(x0, (0,), (0,))
     x = x0.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(rounds):
@@ -712,12 +662,7 @@ def run_sync_baseline(config: SimConfig) -> RunResult:
                               for i in range(config.n)])
             table.set(r, grads.mean(axis=0))
             x -= table.updates[r]
-            trace.check(x[np.newaxis], (r,))
-            if trace.logs(r + 1):
-                trace.log(x[np.newaxis], (r,))
-    rows = trace.finish()
-    return _result("sync", sched, x0, rows, table, x[np.newaxis, :],
-                   config.n * rounds)
+    return _result("sync", sched, x0, table, (0,), (0,), config.n * rounds)
 
 
 def schedule_centralized(config: SimConfig) -> Schedule:
@@ -782,22 +727,15 @@ def run_centralized_asgd(config: SimConfig) -> RunResult:
     sched = _with_stepsize(schedule_centralized(config))
     config = sched.config
     x0 = _start_point(config)
-    n_updates = len(sched.ids)
     table = GradientTable(sched.ids, x0.shape[0], config.eta)
-    # Rows carry the pushing worker (0 at t=0); divergence is the server's.
-    trace = _Trace(sched, x0.shape[0], row_node=PRODUCER)
-    trace.start(x0, (-1,), (0,))
     server = x0.copy()
-    fetched_params = [x0.copy() for _ in range(config.n)]
+    fetched_params = [x0] * config.n
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (worker, step) in enumerate(sched.ids):
             table.set(k, _gradient(config, fetched_params[worker], worker,
                                    step))
             server -= table.updates[k]
-            trace.check(server[np.newaxis], (k,))
-            if trace.logs(k + 1):
-                trace.log(server[np.newaxis], (k,))
             fetched_params[worker] = server.copy()
-    rows = trace.finish()
-    return _result("centralized_asgd", sched, x0, rows, table,
-                   server[np.newaxis, :], n_updates)
+    # Rows carry the pushing worker (0 at t=0); divergence is the server's.
+    return _result("centralized_asgd", sched, x0, table, (-1,), (0,),
+                   len(sched.ids), row_node=PRODUCER)

@@ -61,6 +61,7 @@ def _load(run_dir):
         # Every run logs each node's start point, so rows are never absent.
         raise ValueError("trace.csv has no rows")
     staleness = runio.read_staleness(os.path.join(run_dir, "staleness.csv"))
+    _check_constant_columns(config, trace, staleness)
     producers, steps, vectors = runio.read_gradients(
         os.path.join(run_dir, "gradients.npz"))
     x0, finals = runio.read_models(os.path.join(run_dir, "models.npz"))
@@ -78,6 +79,28 @@ def _load(run_dir):
             events = fh.read().splitlines()
     return digest, config, trace, staleness, (producers, steps, vectors), \
         (x0, finals), events
+
+
+def _check_constant_columns(config, trace, staleness) -> None:
+    """Every row's run_id, and in trace.csv its mode, topology, n, seed
+    and eta, must be the manifest's.  Eta is the manifest's written with
+    12 significant digits, or the first row's where the manifest leaves
+    eta to the stepsize rule.  A mismatch is a ValueError naming the
+    file, line and field."""
+    eta = (trace[0]["eta"] if config.eta is None
+           else float(runio.fmt(config.eta)))
+    want = {"run_id": config.run_id(), "mode": config.mode,
+            "topology": config.topology_kind, "n": config.n,
+            "seed": config.seed, "eta": eta}
+    for name, rows, fields in (("trace.csv", trace, tuple(want)),
+                               ("staleness.csv", staleness, ("run_id",))):
+        for field in fields:
+            value = want[field]
+            for line_no, row in enumerate(rows, start=2):
+                if row[field] != value:
+                    raise ValueError(
+                        f"{name} line {line_no}: {field} is "
+                        f"{row[field]!r}, the run's is {value!r}")
 
 
 def _check_agreement(config, trace, staleness, gradients, models):

@@ -563,6 +563,62 @@ def test_verify_damaged_file_exits_2(tmp_path, capsys, case):
     assert captured.err == f"error: unreadable run directory: {message}\n"
 
 
+# case -> (eta, file, line, {column: value}, message after "line N: ").
+# The manifest of a run that leaves eta out gives none, so the first
+# row's eta stands for it.
+FOREIGN_ROWS = {
+    "staleness_run_id": ("0.01", "staleness.csv", 5, {"run_id": "x"},
+                         "run_id is 'x', the run's is '{run_id}'"),
+    "trace_run_id": ("0.01", "trace.csv", 4, {"run_id": "zzz"},
+                     "run_id is 'zzz', the run's is '{run_id}'"),
+    "trace_mode": ("0.01", "trace.csv", 6, {"mode": "sync"},
+                   "mode is 'sync', the run's is 'dasgd'"),
+    "trace_topology": ("0.01", "trace.csv", 6, {"topology": "ring"},
+                       "topology is 'ring', the run's is 'fully_connected'"),
+    "trace_n": ("0.01", "trace.csv", 7, {"n": "7"},
+                "n is 7, the run's is 3"),
+    "trace_seed": ("0.01", "trace.csv", 8, {"seed": "99"},
+                   "seed is 99, the run's is 4"),
+    "trace_eta": ("0.01", "trace.csv", 9, {"eta": "0.5"},
+                  "eta is 0.5, the run's is 0.01"),
+    "trace_foreign_row": ("0.01", "trace.csv", 3,
+                          {"mode": "sync", "n": "7", "eta": "0.5",
+                           "seed": "99"},
+                          "mode is 'sync', the run's is 'dasgd'"),
+    "trace_eta_without_manifest_eta": ("", "trace.csv", 9, {"eta": "0.5"},
+                                       "eta is 0.5, the run's is {eta}"),
+}
+
+
+@pytest.mark.parametrize("case", list(FOREIGN_ROWS))
+def test_verify_rejects_rows_of_another_run(tmp_path, capsys, case):
+    eta, fname, line_no, edits, message = FOREIGN_ROWS[case]
+    cfg = write_config(tmp_path, "[run]\nseed = 4\nsamples_per_node = 10\n"
+                       "[topology]\nkind = fully_connected\nn = 3\n"
+                       f"[sgd]\neta = {eta}\n")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    summary = runio.read_summary(os.path.join(out, "summary.txt"))
+    path = os.path.join(out, fname)
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    header = lines[0].split(",")
+    parts = lines[line_no - 1].split(",")
+    for column, value in edits.items():
+        parts[header.index(column)] = value
+    lines[line_no - 1] = ",".join(parts)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = message.format(run_id=summary["run_id"],
+                             eta=float(summary["eta"]))
+    assert captured.err == ("error: unreadable run directory: "
+                            f"{fname} line {line_no}: {message}\n")
+
+
 @pytest.mark.parametrize("mode, applier", [
     ("dasgd", 0), ("sync", 0), ("centralized_asgd", -1)])
 def test_verify_fails_header_only_staleness(tmp_path, capsys, mode, applier):

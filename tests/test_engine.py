@@ -4,15 +4,17 @@ determinism, and the two baselines."""
 import numpy as np
 import pytest
 
+from dasgd_sim import engine
 from dasgd_sim.engine import (
     TRACE_BLOCK,
     DivergenceError,
     EventLog,
+    GradientTable,
     SimConfig,
     StalenessLog,
     TraceEvent,
     TraceRow,
-    _Trace,
+    _trace,
     gradient_seed,
     run,
     run_centralized_asgd,
@@ -286,9 +288,18 @@ def test_parameter_divergence_reported_with_location(runner):
     assert err.sim_time == pytest.approx(sim_time)
 
 
-def two_node_schedule():
-    """40 applications, 20 at each of two nodes."""
-    return schedule(constant_config(Topology.fully_connected(2), budget=10))
+def two_node_schedule(**kw):
+    """40 applications, 20 at each of two nodes.  Node 0 applies gids 0,
+    1, 2 at applications 0, 2, 3; node 1 applies gids 1, 0, 3, 2 at
+    applications 1, 4, 5, 8."""
+    return schedule(constant_config(Topology.fully_connected(2), budget=10,
+                                    **kw))
+
+
+def sync_schedule(**kw):
+    """10 rounds on one model: application k applies gid k."""
+    return schedule_sync(constant_config(Topology.fully_connected(2),
+                                         budget=10, **kw))
 
 
 def location(sched, key):
@@ -297,69 +308,78 @@ def location(sched, key):
             sched.times[key])
 
 
-def raised_at(trace):
+def trace_with(sched, updates, x0=np.zeros(4)):
+    """`_trace` over a table whose update of gid g is updates[g], zero
+    for the gids it leaves out, with one model per applier."""
+    table = GradientTable(sched.ids, 4, 0.01)
+    for gid, update in updates.items():
+        table.updates[gid] = update
+    labels = sorted(set(sched.columns[0]))
+    return _trace(sched, x0, table, labels, labels)
+
+
+def raised_at(sched, updates, x0=np.zeros(4)):
     with pytest.raises(DivergenceError) as info:
-        trace.finish()
+        trace_with(sched, updates, x0)
     return info.value.node, info.value.step, info.value.sim_time
 
 
 def test_pending_row_divergence_precedes_parameter_check():
-    sched = two_node_schedule()
-    trace = _Trace(sched, 4)
-    # The loss of the middle row overflows.
-    trace.log(np.array([np.zeros(4), np.full(4, 1e200), np.zeros(4)]),
-              [1, 2, 3])
-    trace.check(np.full((1, 4), np.inf), [4])
-    assert raised_at(trace) == location(sched, 2)
-    # Without a failing row logged first, the parameter check reports
+    sched = sync_schedule()
+    # The loss of the row after application 2 overflows, and the
+    # parameters after application 4 are not finite: the block's
+    # parameter check meets application 4 before its rows are evaluated.
+    assert raised_at(sched, {2: np.full(4, -1e200), 3: np.full(4, 1e200),
+                             4: np.full(4, np.inf)}) == location(sched, 2)
+    # Without a failing row before it, the parameter check reports
     # itself.
-    trace = _Trace(sched, 4)
-    trace.log(np.zeros((1, 4)), [1])
-    trace.check(np.full((1, 4), np.nan), [5])
-    assert raised_at(trace) == location(sched, 5)
+    assert raised_at(sched, {5: np.full(4, np.nan)}) == location(sched, 5)
 
 
-def test_first_divergence_in_logging_order_across_nodes():
+def test_first_divergence_in_logging_order_across_nodes(monkeypatch):
     sched = two_node_schedule()
-    applier = list(sched.columns[0])
-    early = applier.index(0)
-    late = len(applier) - 1 - applier[::-1].index(1)
-    assert early < late
-    # The parameter pass meets node 1's parameters first and node 0's
-    # failing row later; the row comes first in logging order.
-    trace = _Trace(sched, 4)
-    trace.check(np.array([np.zeros(4), np.full(4, np.inf)]), [late - 1, late])
-    trace.log(np.full((1, 4), 1e200), [early])
-    assert raised_at(trace) == location(sched, early)
-    # At the same application the parameter check comes before the row.
-    trace = _Trace(sched, 4)
-    trace.log(np.full((1, 4), 1e200), [late])
-    trace.check(np.full((1, 4), np.nan), [late])
-    trace.flush()
-    assert trace._failure == (late, 0)
+    # The trace pass walks node 0 first and meets its failing row after
+    # application 2 and its parameters after 3; node 1's failing row
+    # after application 1 comes first in logging order.
+    assert raised_at(sched, {1: np.full(4, -1e200), 2: np.full(4, np.inf)}) \
+        == location(sched, 1)
+    noted = []
+
+    def divergence(sched, labels, failure):
+        noted.append(failure)
+        return real(sched, labels, failure)
+
+    real = engine._divergence
+    monkeypatch.setattr(engine, "_divergence", divergence)
+    # At the same application the parameter check (kind 0) comes before
+    # the row (kind 1).  Parameters after application 0 are not finite,
+    # and so is the row there.
+    nan = {0: np.full(4, np.nan)}
+    assert raised_at(sched, nan) == location(sched, 0)
+    # Alone, each kind is reported as itself: the parameters where the
+    # stride logs no row, and a row whose loss overflows.
+    raised_at(two_node_schedule(metric_stride=1000), nan)
+    raised_at(sched, {0: np.full(4, -1e200)})
+    assert noted == [(0, 0), (0, 0), (0, 1)]
     # A failing t=0 row precedes every application.
-    trace = _Trace(sched, 4)
-    trace.check(np.full((1, 4), np.nan), [0])
-    trace.start(np.full(4, 1e200), (0, 1), (0, 1))
-    assert raised_at(trace) == (0, 0, 0.0)
+    assert raised_at(sched, nan, x0=np.full(4, 1e200)) == (0, 0, 0.0)
+    assert noted[-1] == (-2, 1)
 
 
 def test_parameter_check_screens_with_the_sum():
-    sched = two_node_schedule()
-    trace = _Trace(sched, 4)
-    trace.start(np.zeros(4), (0, 1), (0, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Finite entries whose sum overflows are not divergence.
-        trace.check(np.array([[1e308] * 4, [-1e308] * 4]), [1, 2])
-        assert [row.t for row in trace.finish()] == [0, 0]
-        # One non-finite entry is, at the location given; opposite
-        # infinities sum to nan.
-        for bad in ([1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf],
-                    [np.inf, -np.inf]):
-            trace = _Trace(sched, 4)
-            trace.check(np.array([[1e308] * 4, bad + [1e308, 0.0],
-                                  [np.nan] * 4]), [6, 7, 8])
-            assert raised_at(trace) == location(sched, 7)
+    sched = sync_schedule(metric_stride=1000)
+    # Finite entries whose sum overflows are not divergence.
+    rows, finals = trace_with(sched, {1: np.full(4, -1e308),
+                                      2: np.full(4, 1e308)})
+    assert [row.t for row in rows] == [0, 10]
+    assert np.array_equal(finals, np.zeros((1, 4)))
+    # One non-finite entry is, at the location given; opposite
+    # infinities sum to nan.  The stride logs no row on the way.
+    for bad in ([1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf],
+                [np.inf, -np.inf]):
+        assert raised_at(sched, {6: np.full(4, -1e308),
+                                 7: -np.array(bad + [0.0, 0.0]),
+                                 8: np.full(4, np.nan)}) == location(sched, 7)
 
 
 @pytest.mark.parametrize("make", [schedule, schedule_sync,
@@ -443,40 +463,73 @@ def test_staleness_log_view_matches_record_pairs(runner):
         assert [rec for _, rec in pairs] == res.ledger.records
 
 
-def test_trace_blocks_match_one_point_metrics():
-    obj = small_quadratic(d=7)
-    sched = schedule(constant_config(Topology.fully_connected(4), budget=200,
-                                     objective=obj, metric_stride=3))
-    apps = len(sched.times)
-    assert apps > 3 * TRACE_BLOCK
-    trace = _Trace(sched, 7)
-    assert trace.logged(1, 20).tolist() == [3, 6, 9, 12, 15, 18]
-    assert trace.logged(4, 5).tolist() == []
-    assert trace.logged(790, 800).tolist() == [792, 795, 798, 800]
-    assert [t for t in range(801) if trace.logs(t)] == \
-        trace.logged(0, 800).tolist()
-    rng = np.random.default_rng(2)
-    points = (rng.standard_normal((apps, 7))
-              * 10.0 ** rng.integers(-3, 4, size=(apps, 1)))
-    x0 = obj.default_start()
-    trace.start(x0, (0, 1, 2, 3), (0, 1, 2, 3))
-    # Rows arrive in batches of up to 1,500, in shuffled batch order;
-    # keys ascend within a batch, as they do in the parameter pass.
-    cuts = np.sort(rng.choice(np.arange(1501, apps), size=30, replace=False))
-    batches = np.split(np.arange(apps), [1500, *cuts])
-    for i in rng.permutation(len(batches)):
-        trace.log(points[batches[i]], batches[i])
-    applier, step, _, _, tight, loose = sched.columns
+def one_point_rows(obj, sched, x0, updates, labels, nodes, row_node=0):
+    """Trace rows and final models by subtracting each model's updates
+    one at a time, with the one-point `loss` and `full_gradient`."""
+    stride, last_t = sched.config.metric_stride, len(sched.ids)
+    columns = sched.columns
 
-    def want(x, t, sim_time, node, tight, loose):
+    def row(x, t, sim_time, node, tight, loose):
         g = obj.full_gradient(x)
         return TraceRow(t, sim_time, node, obj.loss(x), float(g @ g),
                         tight, loose)
 
-    expected = [want(x0, 0, 0.0, node, 0, 0) for node in range(4)]
-    expected += [want(points[k], step[k] + 1, sched.times[k], applier[k],
-                      tight[k], loose[k]) for k in range(apps)]
-    assert trace.finish() == expected
+    rows = [row(x0, 0, 0.0, node, 0, 0) for node in nodes]
+    models = {label: x0.copy() for label in labels}
+    for k, gid in enumerate(sched.gids):
+        label = columns[0][k]
+        models[label] = models[label] - updates[gid]
+        t = columns[1][k] + 1
+        if t % stride == 0 or t == last_t:
+            rows.append(row(models[label], t, sched.times[k],
+                            columns[row_node][k], columns[4][k],
+                            columns[5][k]))
+    return rows, np.stack([models[label] for label in labels])
+
+
+def test_trace_blocks_match_one_point_metrics():
+    obj = small_quadratic(d=7)
+    sched = schedule(constant_config(Topology.fully_connected(4), budget=200,
+                                     objective=obj, metric_stride=3))
+    gradients = len(sched.ids)
+    assert len(sched.times) > 3 * TRACE_BLOCK
+    rng = np.random.default_rng(2)
+    table = GradientTable(sched.ids, 7, 0.01)
+    table.updates[:] = (rng.standard_normal((gradients, 7))
+                        * 10.0 ** rng.integers(-3, 4, size=(gradients, 1)))
+    x0 = obj.default_start()
+    rows, finals = _trace(sched, x0, table, range(4), range(4))
+    want_rows, want_finals = one_point_rows(obj, sched, x0, table.updates,
+                                            range(4), range(4))
+    assert rows == want_rows
+    assert np.array_equal(finals, want_finals)
+    # Every third step is logged, and the last one, 800, although the
+    # stride does not divide it.
+    steps = [row.t for row in rows if row.node == 0]
+    assert steps == [0, *range(3, 800, 3), 800]
+
+
+@pytest.mark.parametrize("runner, budget", [(run_centralized_asgd, 800),
+                                            (run_sync_baseline, 1100)],
+                         ids=["centralized_asgd", "sync"])
+def test_single_model_chain_crosses_blocks(runner, budget):
+    obj = small_quadratic(d=5, sigma=0.3)
+    cfg = SimConfig(
+        topology=Topology.fully_connected(4), objective=obj, eta=0.01,
+        samples_per_node=budget,
+        compute_time=TimeDistribution.uniform(0.5, 1.5),
+        latency=TimeDistribution.exponential(0.2), seed=6, metric_stride=3)
+    res = runner(cfg)
+    sched = (schedule_centralized if runner is run_centralized_asgd
+             else schedule_sync)(cfg)
+    assert len(sched.times) > (3 if runner is run_centralized_asgd
+                               else 1) * TRACE_BLOCK
+    labels, row_node = ((-1,), 2) if runner is run_centralized_asgd \
+        else ((0,), 0)
+    rows, finals = one_point_rows(obj, sched, res.start, res.table.updates,
+                                  labels, (0,), row_node)
+    assert res.rows == rows
+    assert np.array_equal(res.final_models, finals)
 
 
 def test_trace_rows_start_at_zero_and_monotone_time():
